@@ -12,20 +12,25 @@ use esp_bench::{
     FILL_FRACTION,
 };
 use esp_core::{precondition, run_trace_qd, Ftl, FtlConfig, SubFtl};
-use esp_sim::{Json, RunningStats};
+use esp_sim::Json;
 use esp_workload::{generate, SyntheticConfig};
 
-fn wear_distribution(ftl: &SubFtl) -> (RunningStats, u32) {
+/// Mean, population standard deviation and maximum of the per-block P/E
+/// counts.
+fn wear_distribution(ftl: &SubFtl) -> (f64, f64, u32) {
     let ssd = ftl.ssd();
-    let g = ssd.geometry().clone();
-    let mut stats = RunningStats::new();
-    let mut max = 0u32;
-    for gbi in 0..g.block_count() {
-        let pe = ssd.device().pe_cycles(g.block_addr(gbi));
-        stats.record(f64::from(pe));
-        max = max.max(pe);
-    }
-    (stats, max)
+    let g = ssd.geometry();
+    let pe: Vec<u32> = (0..g.block_count())
+        .map(|b| ssd.device().pe_cycles(g.block_addr(b)))
+        .collect();
+    let n = pe.len() as f64;
+    let mean = pe.iter().map(|&x| f64::from(x)).sum::<f64>() / n;
+    let variance = pe
+        .iter()
+        .map(|&x| (f64::from(x) - mean).powi(2))
+        .sum::<f64>()
+        / n;
+    (mean, variance.sqrt(), pe.iter().copied().max().unwrap_or(0))
 }
 
 fn main() {
@@ -76,14 +81,14 @@ fn main() {
         let mut ftl = SubFtl::new(&cfg);
         precondition(&mut ftl, FILL_FRACTION);
         let r = run_trace_qd(&mut ftl, &trace, 8);
-        let (dist, max) = wear_distribution(&ftl);
+        let (mean, std_dev, max) = wear_distribution(&ftl);
         t.row([
             label.to_string(),
             r.stats.wear_swaps.to_string(),
             r.stats.wear_level_migrations.to_string(),
-            format!("{:.2}", dist.mean()),
+            format!("{mean:.2}"),
             max.to_string(),
-            format!("{:.2}", dist.std_dev()),
+            format!("{std_dev:.2}"),
             format!("{:.0}", r.iops),
         ]);
         bench.push_run_with(
@@ -92,9 +97,9 @@ fn main() {
             [
                 ("swap_threshold".to_string(), Json::from(delta)),
                 ("static_wear_leveling".to_string(), Json::from(wl)),
-                ("pe_mean".to_string(), Json::from(dist.mean())),
+                ("pe_mean".to_string(), Json::from(mean)),
                 ("pe_max".to_string(), Json::from(max)),
-                ("pe_std_dev".to_string(), Json::from(dist.std_dev())),
+                ("pe_std_dev".to_string(), Json::from(std_dev)),
             ],
         );
     }

@@ -14,6 +14,7 @@ use esp_bench::{
     big_flag, experiment_config, footprint_sectors, FtlKind, TextTable, FILL_FRACTION,
 };
 use esp_core::{precondition, run_trace_qd, FtlConfig};
+use esp_sim::SimDuration;
 use esp_workload::{generate, SyntheticConfig};
 
 fn main() {
@@ -50,11 +51,12 @@ fn main() {
         precondition(ftl.as_mut(), FILL_FRACTION);
         let r = run_trace_qd(ftl.as_mut(), &trace, 1);
         assert_eq!(r.stats.read_faults, 0);
+        let latency = r.latency();
         t.row([
             label.to_string(),
             format!("{:.0}", r.iops),
-            format!("{:.1}", r.latency.mean() / 1_000.0),
-            r.latency_p99().to_string(),
+            format!("{:.1}", latency.mean() / 1_000.0),
+            SimDuration::from_nanos(latency.percentile(0.99)).to_string(),
         ]);
     }
     println!("{}", t.render());

@@ -29,10 +29,11 @@ fn main() {
             precondition(ftl.as_mut(), FILL_FRACTION);
             let r = run_trace_qd(ftl.as_mut(), &trace, qd);
             out.push_run(&format!("{} {bench} qd={qd}", kind.name()), &r);
-            let pct = |q: f64| SimDuration::from_nanos(r.latency.percentile(q)).to_string();
+            let latency = r.latency();
+            let pct = |q: f64| SimDuration::from_nanos(latency.percentile(q)).to_string();
             t.row([
                 kind.name().to_string(),
-                SimDuration::from_nanos(r.latency.mean() as u64).to_string(),
+                SimDuration::from_nanos(latency.mean() as u64).to_string(),
                 pct(0.50),
                 pct(0.90),
                 pct(0.99),
@@ -44,7 +45,8 @@ fn main() {
     println!(
         "Expected: subFTL's 4 KB subpage program shortens the fsync path\n\
          (lower median), and its rarer GC keeps the p99/p99.9 tail flatter\n\
-         than fgmFTL's. (Percentiles are power-of-two bucket lower bounds.)"
+         than fgmFTL's. (Percentiles are HDR bucket lower bounds, within\n\
+         1/16 of the exact value.)"
     );
     write_bench(&out);
 }

@@ -15,10 +15,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use esp_core::{CgmFtl, FgmFtl, Ftl, FtlConfig, RunReport, SubFtl};
+use esp_core::{CgmFtl, FgmFtl, Ftl, FtlConfig, SubFtl};
 use esp_nand::Geometry;
 use esp_sim::Json;
-use esp_workload::Trace;
 
 pub use esp_core::BenchReport;
 
@@ -147,15 +146,6 @@ pub fn write_bench(b: &BenchReport) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("could not write BENCH report: {e}"),
     }
-}
-
-/// Builds the FTL, preconditions it with the paper's sequential fill, then
-/// replays `trace` and returns the measurement-run report.
-#[must_use]
-pub fn run_preconditioned(kind: FtlKind, config: &FtlConfig, trace: &Trace) -> RunReport {
-    let mut ftl = kind.build(config);
-    esp_core::precondition(ftl.as_mut(), FILL_FRACTION);
-    esp_core::run_trace(ftl.as_mut(), trace)
 }
 
 /// A fixed-width text table that prints aligned rows (the "figure data" the

@@ -8,7 +8,7 @@
 //! and garbage collection degrades toward the CGM level as `r_synch` grows.
 
 use esp_nand::Oob;
-use esp_sim::{merge_events, EventBuffer, EventSink, SimTime, TraceEvent};
+use esp_sim::{merge_events, EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 

@@ -29,7 +29,7 @@
 //! stays in the owning FTL.
 
 use esp_nand::{Oob, PageAddr};
-use esp_sim::{EventBuffer, EventSink, SimTime, TraceEvent};
+use esp_sim::{EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 

@@ -93,19 +93,11 @@ pub fn latency_json(s: &LatencySummary) -> Json {
 #[must_use]
 pub fn run_json(label: &str, r: &RunReport) -> Json {
     let s = &r.stats;
-    // The `all` class is the HDR merge of the read and sync-write
-    // histograms — the same samples the combined Log2 histogram holds, at
-    // percentile-grade resolution.
-    let all = {
-        let mut h = r.read_latency.clone();
-        h.merge(&r.write_latency);
-        h.summary()
-    };
     // `response` (arrival → done, host queueing included) appears only
     // for open-arrival replays; closed-loop runs record no response
     // samples and omit the member (schema v2).
     let mut latency = vec![
-        ("all", latency_json(&all)),
+        ("all", latency_json(&r.latency().summary())),
         ("read", latency_json(&r.read_latency_summary())),
         ("write", latency_json(&r.write_latency_summary())),
     ];

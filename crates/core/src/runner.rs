@@ -15,7 +15,12 @@
 //!
 //! # Queue-depth scheduling
 //!
-//! [`run_trace_qd`] models an NCQ-style host: up to `queue_depth`
+//! One loop serves every replay. [`run_trace_qd`] hands it one trace at
+//! default QoS; [`run_tenants_qd`](crate::run_tenants_qd) hands it a
+//! tenant set, whose admission and weighted-fair dispatch stages (see
+//! `tenant.rs`) vanish in the one-tenant, unlimited-rate case.
+//!
+//! The loop models an NCQ-style host: up to `queue_depth`
 //! requests are in flight at once, tracked as a min-heap of in-flight
 //! completion times. A request is admitted when the earliest in-flight
 //! request completes (out-of-order completion falls out naturally — each
@@ -59,11 +64,13 @@
 
 use std::collections::HashMap;
 
-use esp_sim::{CalendarQueue, SimDuration, SimTime};
+use esp_nand::DeviceStats;
+use esp_sim::{CalendarQueue, HdrHistogram, SimDuration, SimTime};
 use esp_ssd::Ssd;
 use esp_workload::{IoOp, Trace};
 
 use crate::stats::{FtlStats, RunReport};
+use crate::tenant::{Drr, TenantConfig, TenantReport, TenantRunReport, TokenBucket};
 
 /// Footprints at or below this many sectors get flat `Vec<SimTime>`
 /// hazard tables (direct indexing, zero hashing, zero steady-state
@@ -76,7 +83,7 @@ const FLAT_HAZARD_LIMIT: u64 = 1 << 23;
 /// memory instead of retaining every sector ever touched.
 const SPARSE_PRUNE_TRIGGER: usize = 8192;
 
-/// How [`run_trace_qd`] tracks per-sector hazard completion times.
+/// How [`replay`] tracks per-sector hazard completion times.
 /// Production callers always use `Auto`; tests pin the representation to
 /// prove the three are bit-identical.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -102,7 +109,7 @@ pub(crate) enum HazardMode {
 /// flat representation; the sparse maps are iterated *only* during
 /// pruning, where the surviving set — not its discovery order — is all
 /// that matters, so replay stays deterministic.
-pub(crate) enum Hazards {
+enum Hazards {
     Flat {
         write: Vec<SimTime>,
         read: Vec<SimTime>,
@@ -115,7 +122,7 @@ pub(crate) enum Hazards {
 }
 
 impl Hazards {
-    pub(crate) fn new(mode: HazardMode, footprint_sectors: u64) -> Self {
+    fn new(mode: HazardMode, footprint_sectors: u64) -> Self {
         let flat = match mode {
             HazardMode::Auto => footprint_sectors <= FLAT_HAZARD_LIMIT,
             HazardMode::Flat => true,
@@ -139,7 +146,7 @@ impl Hazards {
     /// Latest completion this request must wait for: the last write of
     /// any of its sectors, plus — for writes — the last read
     /// (write-after-read). Overlapping reads run concurrently.
-    pub(crate) fn dep(&self, lsn: u64, sectors: u32, is_write: bool) -> SimTime {
+    fn dep(&self, lsn: u64, sectors: u32, is_write: bool) -> SimTime {
         let range = lsn..lsn + u64::from(sectors);
         let mut dep = SimTime::ZERO;
         match self {
@@ -171,7 +178,7 @@ impl Hazards {
     /// write overwrites (its buffered copy is the newest data); reads
     /// accumulate the max, since concurrent reads complete in any order
     /// and a later write must wait for the slowest.
-    pub(crate) fn publish(&mut self, lsn: u64, sectors: u32, is_write: bool, done: SimTime) {
+    fn publish(&mut self, lsn: u64, sectors: u32, is_write: bool, done: SimTime) {
         let range = lsn..lsn + u64::from(sectors);
         match self {
             Hazards::Flat { write, read } => {
@@ -205,7 +212,7 @@ impl Hazards {
     /// `max(slot grant, ...)` term forever and pruning it is exact; the
     /// bit-identity test `hazard_representations_are_bit_identical`
     /// locks this.
-    pub(crate) fn maybe_prune(&mut self, watermark: SimTime) {
+    fn maybe_prune(&mut self, watermark: SimTime) {
         if let Hazards::Sparse { write, read, prune } = self {
             if *prune && write.len() + read.len() > SPARSE_PRUNE_TRIGGER {
                 write.retain(|_, &mut t| t > watermark);
@@ -554,16 +561,137 @@ pub fn device_wear_summary(ssd: &Ssd, shallow_erases: u64) -> crate::stats::Wear
     }
 }
 
+/// [`run_trace_qd`] with the hazard representation pinned: `trace` is the
+/// one lane of [`replay`], at default QoS.
 pub(crate) fn run_trace_qd_mode<F: Ftl + ?Sized>(
     ftl: &mut F,
     trace: &Trace,
     queue_depth: usize,
     mode: HazardMode,
 ) -> RunReport {
+    let config = TenantConfig::new("");
+    let lane = Lane {
+        trace,
+        base_lsn: 0,
+        config: &config,
+    };
+    replay(ftl, &[lane], queue_depth, mode).run
+}
+
+/// One tenant's borrowed input to [`replay`]: its trace, the first LSN of
+/// its slice of the logical space, and its QoS settings.
+pub(crate) struct Lane<'a> {
+    pub(crate) trace: &'a Trace,
+    pub(crate) base_lsn: u64,
+    pub(crate) config: &'a TenantConfig,
+}
+
+impl Lane<'_> {
+    /// When request `i` becomes eligible: max(arrival, token ready), or
+    /// `None` past the end of the trace.
+    fn gate(&self, i: usize, bucket: &TokenBucket, base: SimTime) -> Option<SimTime> {
+        let r = self.trace.requests.get(i)?;
+        Some((base + SimDuration::from_nanos(r.arrival.as_nanos())).max(bucket.ready_at()))
+    }
+}
+
+/// A lane's progress through [`replay`].
+struct LaneState {
+    /// Index of the lane's head request.
+    next: usize,
+    /// When the head request becomes eligible; `None` once drained.
+    gate: Option<SimTime>,
+    bucket: TokenBucket,
+    /// Whether the trace carries real arrival stamps (open arrivals):
+    /// closed-loop traces stamp every arrival at zero, where "response
+    /// time" would just accumulate the makespan.
+    open: bool,
+    row: TenantReport,
+}
+
+/// The FTL and device counters at the start of a run, against which its
+/// report's deltas are taken.
+struct RunStart {
+    base: SimTime,
+    stats: FtlStats,
+    dev: DeviceStats,
+}
+
+impl RunStart {
+    fn take<F: Ftl + ?Sized>(ftl: &F) -> Self {
+        RunStart {
+            base: ftl.ssd().makespan(),
+            stats: ftl.stats().clone(),
+            dev: *ftl.ssd().device().stats(),
+        }
+    }
+
+    /// Flushes the write buffer at `clock` (the latest host-visible
+    /// completion) and assembles the run's report.
+    fn finish<F: Ftl + ?Sized>(
+        self,
+        ftl: &mut F,
+        clock: SimTime,
+        requests: u64,
+        read_latency: HdrHistogram,
+        write_latency: HdrHistogram,
+        response_latency: HdrHistogram,
+    ) -> RunReport {
+        let flushed = ftl.flush(clock);
+        let end = ftl.ssd().makespan().max(flushed).max(clock);
+        let makespan_ns = end.saturating_since(self.base);
+        let secs = makespan_ns.as_secs_f64();
+        let dev = ftl.ssd().device().stats();
+        let dev0 = &self.dev;
+        RunReport {
+            ftl: ftl.name(),
+            requests,
+            makespan: SimTime::ZERO + makespan_ns,
+            iops: if secs > 0.0 {
+                requests as f64 / secs
+            } else {
+                0.0
+            },
+            stats: ftl.stats().minus(&self.stats),
+            erases: dev.erases.saturating_sub(dev0.erases),
+            programs: (
+                dev.full_programs.saturating_sub(dev0.full_programs),
+                dev.subpage_programs.saturating_sub(dev0.subpage_programs),
+            ),
+            recovered_reads: dev.recovered_reads.saturating_sub(dev0.recovered_reads),
+            retry_steps: dev.retry_steps.saturating_sub(dev0.retry_steps),
+            soft_decodes: dev.soft_decodes.saturating_sub(dev0.soft_decodes),
+            read_latency,
+            write_latency,
+            response_latency,
+            wear: device_wear_summary(
+                ftl.ssd(),
+                dev.shallow_erases.saturating_sub(dev0.shallow_erases),
+            ),
+        }
+    }
+}
+
+/// The replay loop behind [`run_trace_qd`] and
+/// [`run_tenants_qd`](crate::run_tenants_qd): merges the `lanes` through
+/// token-bucket admission and DRR dispatch (see `tenant.rs`) into one host
+/// queue of depth `queue_depth`, then replays them as the module docs
+/// describe. With one lane at default QoS both front-end stages vanish:
+/// the lane's FIFO keeps trace order and each request's gate is its
+/// arrival.
+///
+/// # Panics
+///
+/// Panics if `queue_depth` is zero.
+pub(crate) fn replay<F: Ftl + ?Sized>(
+    ftl: &mut F,
+    lanes: &[Lane<'_>],
+    queue_depth: usize,
+    mode: HazardMode,
+) -> TenantRunReport {
     assert!(queue_depth > 0, "queue_depth must be at least 1");
-    let base = ftl.ssd().makespan();
-    let stats0 = ftl.stats().clone();
-    let dev0 = *ftl.ssd().device().stats();
+    let start = RunStart::take(ftl);
+    let base = start.base;
 
     // The event calendar: one completion event per queue slot (`base` =
     // free from the start). Popping the earliest completion grants that
@@ -577,105 +705,135 @@ pub(crate) fn run_trace_qd_mode<F: Ftl + ?Sized>(
         slots.push(base, ());
     }
     let mut clock = base;
-    let mut hazards = Hazards::new(mode, trace.footprint_sectors);
-    let mut latency = esp_sim::Log2Histogram::new();
-    let mut read_latency = esp_sim::HdrHistogram::new();
-    let mut write_latency = esp_sim::HdrHistogram::new();
-    let mut response_latency = esp_sim::HdrHistogram::new();
-    // Arrival→done response times are only meaningful when the trace
-    // carries real arrival stamps (open arrivals); closed-loop traces
-    // stamp every arrival at zero, where "response time" would just
-    // accumulate the makespan.
-    let open_arrival = trace.into_iter().any(|r| r.arrival > SimTime::ZERO);
-    for r in trace {
-        let arrival = base + SimDuration::from_nanos(r.arrival.as_nanos());
-        // Admit on the earliest in-flight completion.
+    let footprint = lanes
+        .iter()
+        .map(|l| l.base_lsn + l.trace.footprint_sectors)
+        .max()
+        .unwrap_or(0);
+    let mut hazards = Hazards::new(mode, footprint);
+    let mut read_latency = HdrHistogram::new();
+    let mut write_latency = HdrHistogram::new();
+    let mut response_latency = HdrHistogram::new();
+    let mut states: Vec<LaneState> = lanes
+        .iter()
+        .map(|l| {
+            let bucket = TokenBucket::new(l.config.rate, l.config.burst, base);
+            LaneState {
+                next: 0,
+                gate: l.gate(0, &bucket, base),
+                bucket,
+                open: l.trace.iter().any(|r| r.arrival > SimTime::ZERO),
+                row: TenantReport::new(l.config, l.trace.len()),
+            }
+        })
+        .collect();
+    // The global response histogram records every lane's samples as soon
+    // as any lane is open; a lane's own row records only its own, and only
+    // when that lane is open.
+    let open_arrival = states.iter().any(|s| s.open);
+    let mut drr = Drr::new(lanes.iter().map(|l| u64::from(l.config.weight)).collect());
+
+    let requests: u64 = lanes.iter().map(|l| l.trace.len() as u64).sum();
+    for _ in 0..requests {
+        // Admit on the earliest in-flight completion. If no head request
+        // is eligible when the slot frees, the grant waits for the
+        // earliest gate.
         let (slot_free, ()) = slots.pop().expect("at least one slot");
+        let earliest = states
+            .iter()
+            .filter_map(|s| s.gate)
+            .min()
+            .expect("at least one pending request");
+        let now = slot_free.max(earliest);
+        let t = drr.pick(
+            |t| states[t].gate.is_some_and(|g| g <= now),
+            |t| u64::from(lanes[t].trace.requests[states[t].next].sectors),
+            |t| states[t].gate.is_some(),
+        );
+        let (lane, state) = (&lanes[t], &mut states[t]);
+        let gate = state.gate.expect("the picked lane has a head request");
+        let r = lane.trace.requests[state.next];
+        let arrival = base + SimDuration::from_nanos(r.arrival.as_nanos());
+        // Only the dispatched lane's head and bucket change, so only its
+        // gate moves.
+        state.next += 1;
+        state.bucket.consume(now);
+        state.gate = lane.gate(state.next, &state.bucket, base);
+
         // Hazards against earlier overlapping requests. At QD=1 every
         // recorded completion is <= the popped slot time, so this never
         // changes serial behaviour.
+        let lsn = lane.base_lsn + r.lsn;
         let is_write = r.op == IoOp::Write;
-        let dep = hazards.dep(r.lsn, r.sectors, is_write);
-        let issue = slot_free.max(arrival).max(dep);
-        if arrival > clock {
-            // Every in-flight request completed before `arrival` (clock is
-            // the max over all slots): a background window.
-            ftl.idle(clock, arrival);
+        let dep = hazards.dep(lsn, r.sectors, is_write);
+        let issue = slot_free.max(gate).max(dep);
+        if gate > clock {
+            // Every in-flight request completed before the chosen request
+            // became eligible (clock is the max over all slots): a
+            // background window.
+            ftl.idle(clock, gate);
         }
         ftl.maintain(issue);
-        // Service histograms record issue → done: device service time.
-        // Under open arrivals the response histogram additionally records
-        // arrival → done (host queueing included) for the same samples.
-        let done = match r.op {
-            IoOp::Write => {
-                let done = ftl.write(r.lsn, r.sectors, r.sync, issue);
-                if r.sync {
-                    let ns = done.saturating_since(issue).as_nanos();
-                    latency.record(ns);
-                    write_latency.record(ns);
-                    if open_arrival {
-                        response_latency.record(done.saturating_since(arrival).as_nanos());
-                    }
-                    done
-                } else {
-                    issue
-                }
-            }
-            IoOp::Read => {
-                let done = ftl.read(r.lsn, r.sectors, issue);
-                let ns = done.saturating_since(issue).as_nanos();
-                latency.record(ns);
-                read_latency.record(ns);
-                if open_arrival {
-                    response_latency.record(done.saturating_since(arrival).as_nanos());
-                }
-                done
-            }
+        let done = if is_write {
+            ftl.write(lsn, r.sectors, r.sync, issue)
+        } else {
+            ftl.read(lsn, r.sectors, issue)
         };
+        let done = if is_write && !r.sync {
+            // An async write completes in DRAM: the host sees it done at
+            // issue, and it records no latency sample.
+            issue
+        } else {
+            // Service histograms record issue → done: device service
+            // time. Response histograms record arrival → done (host
+            // queueing included) for the same samples.
+            let service = done.saturating_since(issue).as_nanos();
+            if is_write {
+                write_latency.record(service);
+            } else {
+                read_latency.record(service);
+            }
+            let response = done.saturating_since(arrival);
+            if open_arrival {
+                response_latency.record(response.as_nanos());
+            }
+            if state.open {
+                state.row.record_response(response);
+            }
+            done
+        };
+        state.row.sectors += u64::from(r.sectors);
         // An async write publishes its host-visible completion (the
         // buffered copy is readable immediately); sync writes publish
         // durability.
-        hazards.publish(r.lsn, r.sectors, is_write, done);
+        hazards.publish(lsn, r.sectors, is_write, done);
         hazards.maybe_prune(slot_free);
         slots.push(done, ());
         clock = clock.max(done);
     }
-    let flushed = ftl.flush(clock);
 
-    let end = ftl.ssd().makespan().max(flushed).max(clock);
-    let makespan_ns = end.saturating_since(base);
-    let makespan = SimTime::ZERO + makespan_ns;
-    let secs = makespan_ns.as_secs_f64();
-    let requests = trace.len() as u64;
-    let iops = if secs > 0.0 {
-        requests as f64 / secs
-    } else {
-        0.0
-    };
-    let dev = ftl.ssd().device().stats();
-    RunReport {
-        ftl: ftl.name(),
+    let run = start.finish(
+        ftl,
+        clock,
         requests,
-        makespan,
-        iops,
-        stats: ftl.stats().minus(&stats0),
-        erases: dev.erases.saturating_sub(dev0.erases),
-        programs: (
-            dev.full_programs.saturating_sub(dev0.full_programs),
-            dev.subpage_programs.saturating_sub(dev0.subpage_programs),
-        ),
-        recovered_reads: dev.recovered_reads.saturating_sub(dev0.recovered_reads),
-        retry_steps: dev.retry_steps.saturating_sub(dev0.retry_steps),
-        soft_decodes: dev.soft_decodes.saturating_sub(dev0.soft_decodes),
-        latency,
         read_latency,
         write_latency,
         response_latency,
-        wear: device_wear_summary(
-            ftl.ssd(),
-            dev.shallow_erases.saturating_sub(dev0.shallow_erases),
-        ),
-    }
+    );
+    let secs = run.makespan.as_secs_f64();
+    let tenants = states
+        .into_iter()
+        .zip(lanes)
+        .map(|(s, l)| TenantReport {
+            iops: if secs > 0.0 {
+                l.trace.len() as f64 / secs
+            } else {
+                0.0
+            },
+            ..s.row
+        })
+        .collect();
+    TenantRunReport { run, tenants }
 }
 
 /// Preconditions `ftl` to the paper's steady state: sequentially fills
@@ -718,8 +876,8 @@ mod tests {
         t.push(IoRequest::read(SimTime::ZERO, 0, 1));
         let r = run_trace(&mut ftl, &t);
         // 1 sync write + 1 read recorded; the async write is not.
-        assert_eq!(r.latency.count(), 2);
-        assert!(r.latency_p50() > SimDuration::ZERO);
+        assert_eq!(r.latency().count(), 2);
+        assert!(r.latency().percentile(0.50) > 0);
     }
 
     #[test]
@@ -805,7 +963,7 @@ mod tests {
         assert_eq!(r.requests, 0);
         assert_eq!(r.iops, 0.0);
         assert_eq!(r.makespan, SimTime::ZERO);
-        assert_eq!(r.latency.count(), 0);
+        assert_eq!(r.latency().count(), 0);
         assert_eq!(r.erases, 0);
         // An empty run after real work must also report zero deltas.
         let mut t = Trace::new(64);
@@ -922,18 +1080,16 @@ mod tests {
         trace: &Trace,
         queue_depth: usize,
     ) -> RunReport {
-        let base = ftl.ssd().makespan();
-        let stats0 = ftl.stats().clone();
-        let dev0 = *ftl.ssd().device().stats();
+        let start = RunStart::take(ftl);
+        let base = start.base;
         let mut threads = vec![base; queue_depth];
         let mut clock = base;
-        let mut latency = esp_sim::Log2Histogram::new();
-        let mut read_latency = esp_sim::HdrHistogram::new();
-        let mut write_latency = esp_sim::HdrHistogram::new();
+        let mut read_latency = HdrHistogram::new();
+        let mut write_latency = HdrHistogram::new();
         // Response recording mirrors `run_trace_qd` (it post-dates the
         // legacy scheduler and doesn't affect scheduling), so the
         // bit-identity comparison also covers the response histogram.
-        let mut response_latency = esp_sim::HdrHistogram::new();
+        let mut response_latency = HdrHistogram::new();
         let open_arrival = trace.into_iter().any(|r| r.arrival > SimTime::ZERO);
         for r in trace {
             let arrival = base + SimDuration::from_nanos(r.arrival.as_nanos());
@@ -954,9 +1110,7 @@ mod tests {
                 IoOp::Write => {
                     let done = ftl.write(r.lsn, r.sectors, r.sync, issue);
                     if r.sync {
-                        let ns = done.saturating_since(issue).as_nanos();
-                        latency.record(ns);
-                        write_latency.record(ns);
+                        write_latency.record(done.saturating_since(issue).as_nanos());
                         if open_arrival {
                             response_latency.record(done.saturating_since(arrival).as_nanos());
                         }
@@ -967,9 +1121,7 @@ mod tests {
                 }
                 IoOp::Read => {
                     let done = ftl.read(r.lsn, r.sectors, issue);
-                    let ns = done.saturating_since(issue).as_nanos();
-                    latency.record(ns);
-                    read_latency.record(ns);
+                    read_latency.record(done.saturating_since(issue).as_nanos());
                     if open_arrival {
                         response_latency.record(done.saturating_since(arrival).as_nanos());
                     }
@@ -979,41 +1131,14 @@ mod tests {
             threads[t_idx] = done;
             clock = clock.max(done);
         }
-        let flushed = ftl.flush(clock);
-        let end = ftl.ssd().makespan().max(flushed).max(clock);
-        let makespan_ns = end.saturating_since(base);
-        let makespan = SimTime::ZERO + makespan_ns;
-        let secs = makespan_ns.as_secs_f64();
-        let requests = trace.len() as u64;
-        let iops = if secs > 0.0 {
-            requests as f64 / secs
-        } else {
-            0.0
-        };
-        let dev = ftl.ssd().device().stats();
-        RunReport {
-            ftl: ftl.name(),
-            requests,
-            makespan,
-            iops,
-            stats: ftl.stats().minus(&stats0),
-            erases: dev.erases.saturating_sub(dev0.erases),
-            programs: (
-                dev.full_programs.saturating_sub(dev0.full_programs),
-                dev.subpage_programs.saturating_sub(dev0.subpage_programs),
-            ),
-            recovered_reads: dev.recovered_reads.saturating_sub(dev0.recovered_reads),
-            retry_steps: dev.retry_steps.saturating_sub(dev0.retry_steps),
-            soft_decodes: dev.soft_decodes.saturating_sub(dev0.soft_decodes),
-            latency,
+        start.finish(
+            ftl,
+            clock,
+            trace.len() as u64,
             read_latency,
             write_latency,
             response_latency,
-            wear: device_wear_summary(
-                ftl.ssd(),
-                dev.shallow_erases.saturating_sub(dev0.shallow_erases),
-            ),
-        }
+        )
     }
 
     /// A mixed workload — sync and async writes, reads, rewrites of the

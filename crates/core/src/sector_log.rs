@@ -16,7 +16,7 @@
 //! becomes a measurable experiment (`related_sector_log`).
 
 use esp_nand::Oob;
-use esp_sim::{merge_events, EventBuffer, EventSink, SimTime, TraceEvent};
+use esp_sim::{merge_events, EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 

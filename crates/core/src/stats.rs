@@ -1,6 +1,6 @@
 //! FTL-level statistics: the quantities the paper's evaluation reports.
 
-use esp_sim::{HdrHistogram, LatencySummary, Log2Histogram, SimDuration, SimTime};
+use esp_sim::{HdrHistogram, LatencySummary, SimTime};
 use esp_workload::SECTOR_BYTES;
 
 /// Counters maintained by every FTL.
@@ -208,9 +208,6 @@ pub struct RunReport {
     pub retry_steps: u64,
     /// Soft-decode passes the device performed.
     pub soft_decodes: u64,
-    /// Host-observed request latencies in nanoseconds (synchronous writes
-    /// and reads; asynchronous writes complete in DRAM and are excluded).
-    pub latency: Log2Histogram,
     /// Host-observed **read** latencies in nanoseconds, at HDR (≤1/16
     /// relative error) resolution for p50/p95/p99/p999 reporting.
     pub read_latency: HdrHistogram,
@@ -229,16 +226,15 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Median host-observed request latency.
+    /// Host-observed request latencies in nanoseconds: the merge of the
+    /// read and synchronous-write histograms (asynchronous writes complete
+    /// in DRAM and are excluded). BENCH reports render it as
+    /// `latency.all`.
     #[must_use]
-    pub fn latency_p50(&self) -> SimDuration {
-        SimDuration::from_nanos(self.latency.percentile(0.50))
-    }
-
-    /// 99th-percentile host-observed request latency.
-    #[must_use]
-    pub fn latency_p99(&self) -> SimDuration {
-        SimDuration::from_nanos(self.latency.percentile(0.99))
+    pub fn latency(&self) -> HdrHistogram {
+        let mut all = self.read_latency.clone();
+        all.merge(&self.write_latency);
+        all
     }
 
     /// Percentile summary (count/mean/min/max/p50/p95/p99/p999) of
@@ -319,7 +315,6 @@ mod tests {
             recovered_reads: 0,
             retry_steps: 0,
             soft_decodes: 0,
-            latency: Log2Histogram::new(),
             read_latency: HdrHistogram::new(),
             write_latency: HdrHistogram::new(),
             response_latency: HdrHistogram::new(),

@@ -22,7 +22,7 @@
 //! `Npp` type.
 
 use esp_nand::{Oob, SubpageAddr};
-use esp_sim::{merge_events, EventBuffer, EventSink, SimDuration, SimTime, TraceEvent};
+use esp_sim::{merge_events, EventBuffer, SimDuration, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
@@ -2327,7 +2327,7 @@ mod tests {
             let r = run_trace(&mut ftl, &trace);
             assert_eq!(r.stats.read_faults, 0);
             ftl.check_invariants();
-            r.latency.percentile(1.0)
+            r.latency().max()
         };
         let fg_worst = run(false);
         let bg_worst = run(true);

@@ -9,9 +9,9 @@
 //! buffer, GC, the read-path countermeasures, and raw channel/chip
 //! bandwidth.
 //!
-//! [`run_tenants_qd`] replays the set through the same NCQ-style engine
-//! as [`run_trace_qd`](crate::run_trace_qd), with two stages bolted in
-//! front of the host queue:
+//! [`run_tenants_qd`] replays the set through the one replay loop behind
+//! [`run_trace_qd`](crate::run_trace_qd) (`runner.rs`), whose two stages
+//! in front of the host queue live here:
 //!
 //! 1. **Token-bucket admission** (`rate` + `burst` per tenant). A
 //!    request becomes *eligible* at `max(arrival, token_ready)`; tokens
@@ -30,14 +30,16 @@
 //! With a **single tenant at default QoS** (unlimited rate) both stages
 //! vanish: the one FIFO preserves trace order, eligibility degenerates
 //! to the arrival stamp, and the replay is **bit-identical** to
-//! [`run_trace_qd`](crate::run_trace_qd) — locked verbatim by
-//! `single_tenant_matches_run_trace_qd`.
+//! [`run_trace_qd`](crate::run_trace_qd) by construction, since plain
+//! replay is exactly that case of the same loop.
+//! `single_tenant_matches_run_trace_qd` checks the two wrappers.
 //!
 //! # Latency contract
 //!
-//! The global [`RunReport`] keeps the PR-5/6 semantics: service
-//! histograms record issue → done, and the `latency.response` histogram
-//! records arrival → done for open-arrival traces. Each
+//! The global [`RunReport`](crate::RunReport) keeps the plain-replay
+//! semantics: service histograms record issue → done, and the
+//! `latency.response` histogram records arrival → done for open-arrival
+//! traces. Each
 //! [`TenantReport`] additionally carries that tenant's own arrival →
 //! done **response** histogram (recorded for reads and synchronous
 //! writes of *open* tenants — a closed tenant's "response time" would
@@ -46,10 +48,10 @@
 //! imposed by the token bucket is part of response time by design —
 //! throttling trades a tenant's own queueing for its neighbors' tails.
 
-use esp_sim::{CalendarQueue, HdrHistogram, SimDuration, SimTime};
-use esp_workload::{IoOp, Trace, SECTORS_PER_PAGE};
+use esp_sim::{HdrHistogram, SimDuration, SimTime};
+use esp_workload::{Trace, SECTORS_PER_PAGE};
 
-use crate::runner::{device_wear_summary, Ftl, HazardMode, Hazards};
+use crate::runner::{replay, Ftl, HazardMode, Lane};
 use crate::stats::RunReport;
 
 /// Sectors of deficit one weight unit banks per DRR turn. Small enough
@@ -213,7 +215,7 @@ impl TenantSet {
 
 /// Continuous-refill token bucket gating one tenant's admission.
 #[derive(Debug, Clone)]
-struct TokenBucket {
+pub(crate) struct TokenBucket {
     /// Tokens per nanosecond; `0.0` = unlimited (bucket disabled).
     rate_per_ns: f64,
     capacity: f64,
@@ -222,7 +224,7 @@ struct TokenBucket {
 }
 
 impl TokenBucket {
-    fn new(rate_per_sec: f64, burst: u32, at: SimTime) -> Self {
+    pub(crate) fn new(rate_per_sec: f64, burst: u32, at: SimTime) -> Self {
         TokenBucket {
             rate_per_ns: rate_per_sec / 1e9,
             capacity: f64::from(burst),
@@ -233,7 +235,7 @@ impl TokenBucket {
 
     /// Earliest instant at which one token is available. Exact for any
     /// query time at or after `last` (state only changes on `consume`).
-    fn ready_at(&self) -> SimTime {
+    pub(crate) fn ready_at(&self) -> SimTime {
         if self.rate_per_ns <= 0.0 || self.tokens >= 1.0 {
             return if self.rate_per_ns <= 0.0 {
                 SimTime::ZERO
@@ -246,7 +248,7 @@ impl TokenBucket {
     }
 
     /// Removes one token at time `at` (which must be ≥ [`Self::ready_at`]).
-    fn consume(&mut self, at: SimTime) {
+    pub(crate) fn consume(&mut self, at: SimTime) {
         if self.rate_per_ns <= 0.0 {
             return;
         }
@@ -260,7 +262,7 @@ impl TokenBucket {
 /// tenant for one queue-slot grant; the cursor and per-tenant deficits
 /// persist across grants so a tenant's turn spans as many requests as
 /// its banked deficit covers.
-struct Drr {
+pub(crate) struct Drr {
     weights: Vec<u64>,
     deficit: Vec<u64>,
     /// Whether the tenant under the cursor has already banked its
@@ -270,7 +272,7 @@ struct Drr {
 }
 
 impl Drr {
-    fn new(weights: Vec<u64>) -> Self {
+    pub(crate) fn new(weights: Vec<u64>) -> Self {
         let n = weights.len();
         Drr {
             weights,
@@ -287,7 +289,7 @@ impl Drr {
     ///
     /// The caller must guarantee at least one eligible tenant; each full
     /// rotation banks another quantum for it, so the loop terminates.
-    fn pick(
+    pub(crate) fn pick(
         &mut self,
         eligible: impl Fn(usize) -> bool,
         cost: impl Fn(usize) -> u64,
@@ -348,6 +350,36 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
+    /// An empty row for a tenant replaying `requests` requests under
+    /// `config`.
+    pub(crate) fn new(config: &TenantConfig, requests: usize) -> Self {
+        TenantReport {
+            name: config.name.clone(),
+            weight: config.weight,
+            rate: config.rate,
+            burst: config.burst,
+            requests: requests as u64,
+            sectors: 0,
+            iops: 0.0,
+            response: HdrHistogram::new(),
+            slo: config.slo,
+            slo_samples: 0,
+            slo_good: 0,
+        }
+    }
+
+    /// Records one arrival → done response sample and scores it against
+    /// the SLO, if one is configured.
+    pub(crate) fn record_response(&mut self, response: SimDuration) {
+        self.response.record(response.as_nanos());
+        if let Some(target) = self.slo {
+            self.slo_samples += 1;
+            if response <= target {
+                self.slo_good += 1;
+            }
+        }
+    }
+
     /// Fraction of response samples that met the SLO, if an SLO was
     /// configured and any samples were recorded.
     #[must_use]
@@ -392,228 +424,16 @@ pub fn run_tenants_qd<F: Ftl + ?Sized>(
         set.footprint_sectors(),
         ftl.logical_sectors()
     );
-    let n = set.entries.len();
-    let base = ftl.ssd().makespan();
-    let stats0 = ftl.stats().clone();
-    let dev0 = *ftl.ssd().device().stats();
-
-    let mut slots: CalendarQueue<()> = CalendarQueue::new();
-    for _ in 0..queue_depth {
-        slots.push(base, ());
-    }
-    let mut clock = base;
-    let mut hazards = Hazards::new(HazardMode::Auto, set.footprint_sectors());
-    let mut latency = esp_sim::Log2Histogram::new();
-    let mut read_latency = HdrHistogram::new();
-    let mut write_latency = HdrHistogram::new();
-    let mut response_latency = HdrHistogram::new();
-    let open_arrival = set
+    let lanes: Vec<Lane<'_>> = set
         .entries
         .iter()
-        .any(|e| e.trace.iter().any(|r| r.arrival > SimTime::ZERO));
-
-    // Per-tenant scheduler state, indexed like `set.entries`.
-    let mut next_idx = vec![0usize; n];
-    let mut buckets: Vec<TokenBucket> = set
-        .entries
-        .iter()
-        .map(|e| TokenBucket::new(e.config.rate, e.config.burst, base))
-        .collect();
-    let mut drr = Drr::new(
-        set.entries
-            .iter()
-            .map(|e| u64::from(e.config.weight))
-            .collect(),
-    );
-    let tenant_open: Vec<bool> = set
-        .entries
-        .iter()
-        .map(|e| e.trace.iter().any(|r| r.arrival > SimTime::ZERO))
-        .collect();
-    let mut response: Vec<HdrHistogram> = (0..n).map(|_| HdrHistogram::new()).collect();
-    let mut sectors_moved = vec![0u64; n];
-    let mut slo_samples = vec![0u64; n];
-    let mut slo_good = vec![0u64; n];
-
-    // Arrival stamp of tenant `t`'s head request, on the global clock.
-    let head_arrival = |next_idx: &[usize], t: usize| {
-        base + SimDuration::from_nanos(
-            set.entries[t].trace.requests[next_idx[t]]
-                .arrival
-                .as_nanos(),
-        )
-    };
-
-    let total = set.total_requests();
-    for _ in 0..total {
-        let (slot_free, ()) = slots.pop().expect("at least one slot");
-        // Eligibility horizon: a pending head request is eligible at
-        // max(arrival, token ready). If nothing is eligible when the
-        // slot frees, the grant waits for the earliest gate.
-        let mut now = slot_free;
-        let mut min_gate: Option<SimTime> = None;
-        for t in 0..n {
-            if next_idx[t] < set.entries[t].trace.len() {
-                let gate = head_arrival(&next_idx, t).max(buckets[t].ready_at());
-                min_gate = Some(min_gate.map_or(gate, |m: SimTime| m.min(gate)));
-            }
-        }
-        let min_gate = min_gate.expect("at least one pending request");
-        now = now.max(min_gate);
-
-        let t = drr.pick(
-            |t| {
-                next_idx[t] < set.entries[t].trace.len()
-                    && head_arrival(&next_idx, t).max(buckets[t].ready_at()) <= now
-            },
-            |t| u64::from(set.entries[t].trace.requests[next_idx[t]].sectors),
-            |t| next_idx[t] < set.entries[t].trace.len(),
-        );
-        let entry = &set.entries[t];
-        let r = entry.trace.requests[next_idx[t]];
-        next_idx[t] += 1;
-
-        let arrival = base + SimDuration::from_nanos(r.arrival.as_nanos());
-        let gate = arrival.max(buckets[t].ready_at());
-        buckets[t].consume(now);
-        let lsn = entry.base_lsn + r.lsn;
-        let is_write = r.op == IoOp::Write;
-        let dep = hazards.dep(lsn, r.sectors, is_write);
-        let issue = slot_free.max(gate).max(dep);
-        if gate > clock {
-            // Every in-flight request completed before the chosen
-            // request became eligible: a genuine idle window (for the
-            // single-tenant unlimited case, `gate == arrival`, matching
-            // `run_trace_qd` exactly).
-            ftl.idle(clock, gate);
-        }
-        ftl.maintain(issue);
-        let done = match r.op {
-            IoOp::Write => {
-                let done = ftl.write(lsn, r.sectors, r.sync, issue);
-                if r.sync {
-                    let ns = done.saturating_since(issue).as_nanos();
-                    latency.record(ns);
-                    write_latency.record(ns);
-                    if open_arrival {
-                        response_latency.record(done.saturating_since(arrival).as_nanos());
-                    }
-                    if tenant_open[t] {
-                        record_response(
-                            done.saturating_since(arrival),
-                            &mut response[t],
-                            entry.config.slo,
-                            &mut slo_samples[t],
-                            &mut slo_good[t],
-                        );
-                    }
-                    done
-                } else {
-                    issue
-                }
-            }
-            IoOp::Read => {
-                let done = ftl.read(lsn, r.sectors, issue);
-                let ns = done.saturating_since(issue).as_nanos();
-                latency.record(ns);
-                read_latency.record(ns);
-                if open_arrival {
-                    response_latency.record(done.saturating_since(arrival).as_nanos());
-                }
-                if tenant_open[t] {
-                    record_response(
-                        done.saturating_since(arrival),
-                        &mut response[t],
-                        entry.config.slo,
-                        &mut slo_samples[t],
-                        &mut slo_good[t],
-                    );
-                }
-                done
-            }
-        };
-        sectors_moved[t] += u64::from(r.sectors);
-        hazards.publish(lsn, r.sectors, is_write, done);
-        hazards.maybe_prune(slot_free);
-        slots.push(done, ());
-        clock = clock.max(done);
-    }
-    let flushed = ftl.flush(clock);
-
-    let end = ftl.ssd().makespan().max(flushed).max(clock);
-    let makespan_ns = end.saturating_since(base);
-    let makespan = SimTime::ZERO + makespan_ns;
-    let secs = makespan_ns.as_secs_f64();
-    let requests = total;
-    let iops = if secs > 0.0 {
-        requests as f64 / secs
-    } else {
-        0.0
-    };
-    let dev = ftl.ssd().device().stats();
-    let run = RunReport {
-        ftl: ftl.name(),
-        requests,
-        makespan,
-        iops,
-        stats: ftl.stats().minus(&stats0),
-        erases: dev.erases.saturating_sub(dev0.erases),
-        programs: (
-            dev.full_programs.saturating_sub(dev0.full_programs),
-            dev.subpage_programs.saturating_sub(dev0.subpage_programs),
-        ),
-        recovered_reads: dev.recovered_reads.saturating_sub(dev0.recovered_reads),
-        retry_steps: dev.retry_steps.saturating_sub(dev0.retry_steps),
-        soft_decodes: dev.soft_decodes.saturating_sub(dev0.soft_decodes),
-        latency,
-        read_latency,
-        write_latency,
-        response_latency,
-        wear: device_wear_summary(
-            ftl.ssd(),
-            dev.shallow_erases.saturating_sub(dev0.shallow_erases),
-        ),
-    };
-
-    let tenants = set
-        .entries
-        .iter()
-        .enumerate()
-        .map(|(t, e)| TenantReport {
-            name: e.config.name.clone(),
-            weight: e.config.weight,
-            rate: e.config.rate,
-            burst: e.config.burst,
-            requests: e.trace.len() as u64,
-            sectors: sectors_moved[t],
-            iops: if secs > 0.0 {
-                e.trace.len() as f64 / secs
-            } else {
-                0.0
-            },
-            response: response[t].clone(),
-            slo: e.config.slo,
-            slo_samples: slo_samples[t],
-            slo_good: slo_good[t],
+        .map(|e| Lane {
+            trace: &e.trace,
+            base_lsn: e.base_lsn,
+            config: &e.config,
         })
         .collect();
-    TenantRunReport { run, tenants }
-}
-
-fn record_response(
-    resp: SimDuration,
-    hist: &mut HdrHistogram,
-    slo: Option<SimDuration>,
-    samples: &mut u64,
-    good: &mut u64,
-) {
-    hist.record(resp.as_nanos());
-    if let Some(target) = slo {
-        *samples += 1;
-        if resp <= target {
-            *good += 1;
-        }
-    }
+    replay(ftl, &lanes, queue_depth, HazardMode::Auto)
 }
 
 #[cfg(test)]

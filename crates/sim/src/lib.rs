@@ -11,12 +11,10 @@
 //!   calendar queue) driving the replay engine's completion scheduling.
 //! * [`Rng`] / [`Zipf`] — self-contained deterministic random number
 //!   generation and skewed (hot/cold) sampling for workload synthesis.
-//! * [`RunningStats`] / [`Log2Histogram`] — metric accumulators.
-//! * [`HdrHistogram`] / [`MetricsRegistry`] — HDR-style log-bucketed
-//!   latency percentiles (p50/p95/p99/p999) and a counter/gauge registry
-//!   for machine-readable reports.
-//! * [`TraceEvent`] / [`EventSink`] / [`EventBuffer`] — zero-cost-when-
-//!   disabled per-operation structured event tracing.
+//! * [`HdrHistogram`] — the one latency histogram: HDR-style log-bucketed
+//!   percentiles (p50/p95/p99/p999) behind every reported latency.
+//! * [`TraceEvent`] / [`EventBuffer`] — zero-cost-when-disabled
+//!   per-operation structured event tracing into a bounded ring.
 //! * [`Json`] — dependency-free JSON emit/parse for `BENCH_*.json`
 //!   artifacts.
 //! * [`par_map`] — a `std::thread`-only multi-core sweep driver for
@@ -52,16 +50,14 @@ mod metrics;
 mod parallel;
 mod resource;
 mod rng;
-mod stats;
 mod time;
 mod trace;
 
 pub use event::CalendarQueue;
 pub use json::Json;
-pub use metrics::{HdrHistogram, LatencySummary, MetricsRegistry};
+pub use metrics::{HdrHistogram, LatencySummary};
 pub use parallel::{par_map, par_map_with_threads};
 pub use resource::Resource;
 pub use rng::{Rng, Zipf};
-pub use stats::{Log2Histogram, RunningStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{merge_events, EventBuffer, EventLog, EventSink, NullSink, TraceEvent};
+pub use trace::{merge_events, EventBuffer, TraceEvent};

@@ -1,13 +1,11 @@
-//! HDR-style latency histograms and a name/value metrics registry.
+//! HDR-style latency histograms.
 //!
 //! [`HdrHistogram`] is the streaming percentile accumulator behind every
-//! `BENCH_*.json` latency block: log2 major buckets refined by 16 linear
-//! sub-buckets, giving percentile estimates with at most ~6.25 % relative
-//! error at fixed memory (no sample retention). [`MetricsRegistry`] is a
-//! lightweight counter/gauge/histogram registry used when assembling
-//! machine-readable reports.
+//! latency the simulator reports, in text and in `BENCH_*.json` alike:
+//! log2 major buckets refined by 16 linear sub-buckets, giving percentile
+//! estimates with at most ~6.25 % relative error at fixed memory (no
+//! sample retention).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Linear sub-buckets per power-of-two major bucket (2^4).
@@ -246,107 +244,6 @@ pub struct LatencySummary {
     pub p999: u64,
 }
 
-/// A name-keyed registry of counters, gauges and histograms.
-///
-/// The simulator's primary statistics live in typed structs
-/// (`FtlStats`, `DeviceStats`); the registry is the *flattened* view used
-/// when assembling machine-readable reports, and the natural sink for
-/// ad-hoc instrumentation that does not warrant a struct field. Keys are
-/// ordered (BTreeMap) so iteration — and therefore every emitted report —
-/// is deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use esp_sim::MetricsRegistry;
-///
-/// let mut m = MetricsRegistry::new();
-/// m.inc("gc.invocations", 3);
-/// m.set_gauge("waf.total", 1.18);
-/// m.observe("latency.read_ns", 90_000);
-/// assert_eq!(m.counter("gc.invocations"), 3);
-/// assert_eq!(m.histogram("latency.read_ns").unwrap().count(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, HdrHistogram>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the named counter (created at zero on first use).
-    pub fn inc(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Sets the named gauge.
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
-    }
-
-    /// Records a sample into the named histogram (created on first use).
-    pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
-    }
-
-    /// Current value of a counter (zero if never incremented).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The named histogram, if any sample was recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&HdrHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// All counters, ordered by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauges, ordered by name.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All histograms, ordered by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &HdrHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Merges another registry into this one (counters add, gauges take the
-    /// other's value, histograms merge).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,35 +438,5 @@ mod tests {
         assert_eq!(h.percentile(0.5), 0);
         assert_eq!(h.summary().p999, 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn registry_basics() {
-        let mut m = MetricsRegistry::new();
-        m.inc("a", 1);
-        m.inc("a", 2);
-        m.set_gauge("g", 0.5);
-        m.observe("h", 10);
-        m.observe("h", 20);
-        assert_eq!(m.counter("a"), 3);
-        assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.gauge("g"), Some(0.5));
-        assert_eq!(m.histogram("h").unwrap().count(), 2);
-        assert_eq!(m.counters().count(), 1);
-    }
-
-    #[test]
-    fn registry_merge() {
-        let mut a = MetricsRegistry::new();
-        a.inc("c", 1);
-        a.observe("h", 5);
-        let mut b = MetricsRegistry::new();
-        b.inc("c", 2);
-        b.set_gauge("g", 1.0);
-        b.observe("h", 7);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge("g"), Some(1.0));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
     }
 }

@@ -6,18 +6,13 @@
 //! retry rungs climbed, latency) and an optional static tag (GC cause,
 //! region). Recording is **zero-cost when disabled**: the buffer starts
 //! disabled, `emit` takes a closure so the event is never even
-//! constructed unless a sink is armed, and the disabled check is a single
-//! predictable branch on an `Option` discriminant.
-//!
-//! The [`EventSink`] trait is the extension point — [`EventLog`] (a
-//! bounded keep-newest ring) is the stock implementation behind
-//! [`EventBuffer`], and tests can plug their own sink to assert on the
-//! exact stream a scenario produces.
+//! constructed unless the buffer is armed, and the disabled check is a
+//! single predictable branch on the ring bound.
 //!
 //! # Examples
 //!
 //! ```
-//! use esp_sim::{EventBuffer, EventSink, TraceEvent};
+//! use esp_sim::{EventBuffer, TraceEvent};
 //!
 //! let mut trace = EventBuffer::disabled();
 //! trace.emit(|| unreachable!("never constructed while disabled"));
@@ -30,6 +25,8 @@
 //! assert_eq!(trace.events().len(), 1);
 //! assert_eq!(trace.events()[0].get("lsn"), Some(42));
 //! ```
+
+use std::collections::VecDeque;
 
 use crate::Json;
 
@@ -103,77 +100,87 @@ impl TraceEvent {
     }
 }
 
-/// A destination for trace events.
+/// The recorder a component embeds: a bounded keep-newest event ring.
 ///
-/// `emit` defers event construction behind the `enabled` check, so a
-/// disabled sink costs one branch per call site and zero allocations.
-pub trait EventSink {
-    /// Whether events should be constructed at all.
-    fn enabled(&self) -> bool;
-
-    /// Accepts one event (only called when [`EventSink::enabled`]).
-    fn record(&mut self, event: TraceEvent);
-
-    /// Records the event produced by `f`, if and only if the sink is
-    /// enabled.
-    #[inline]
-    fn emit(&mut self, f: impl FnOnce() -> TraceEvent)
-    where
-        Self: Sized,
-    {
-        if self.enabled() {
-            self.record(f());
-        }
-    }
-}
-
-/// The always-off sink: every `emit` is a no-op the optimizer removes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-    #[inline]
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
-/// A bounded keep-newest event ring: once `capacity` events are held, each
-/// new event evicts the oldest (the tail of a run is where latency spikes
-/// and GC storms live). Evictions are counted so reports can state how
-/// much history was dropped.
+/// Disabled (the default) it holds a zero bound and no storage — `emit`
+/// is one branch, no allocation, no event construction.
+/// [`EventBuffer::enable`] arms it at runtime: once `capacity` events are
+/// held, each new event evicts the oldest (the tail of a run is where
+/// latency spikes and GC storms live), and evictions are counted so
+/// reports can state how much history was dropped.
 #[derive(Debug, Clone, Default)]
-pub struct EventLog {
-    events: std::collections::VecDeque<TraceEvent>,
+pub struct EventBuffer {
+    events: VecDeque<TraceEvent>,
+    /// Ring bound; zero while disabled.
     capacity: usize,
     dropped: u64,
 }
 
-impl EventLog {
-    /// Creates a log bounded to `capacity` events (at least 1).
+impl EventBuffer {
+    /// The default, disabled recorder.
+    #[must_use]
+    pub fn disabled() -> Self {
+        EventBuffer::default()
+    }
+
+    /// A recorder armed with a ring bounded to `capacity` events (at
+    /// least 1).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        EventLog {
-            events: std::collections::VecDeque::with_capacity(capacity.clamp(1, 1 << 16)),
+        EventBuffer {
+            events: VecDeque::with_capacity(capacity.clamp(1, 1 << 16)),
             capacity: capacity.max(1),
             dropped: 0,
         }
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
+    /// Arms recording (discarding any previous events) with the given
+    /// bound.
+    pub fn enable(&mut self, capacity: usize) {
+        *self = EventBuffer::with_capacity(capacity);
     }
 
-    /// How many events were evicted to respect the bound.
+    /// Whether events are being retained.
+    #[must_use]
+    pub fn is_enabled(&self) -> bool {
+        self.capacity > 0
+    }
+
+    /// Records the event produced by `f`, if and only if the buffer is
+    /// armed.
+    #[inline]
+    pub fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
+        if self.is_enabled() {
+            self.record(f());
+        }
+    }
+
+    /// Records one event, evicting the oldest when the ring is full; a
+    /// disabled buffer drops it.
+    pub fn record(&mut self, event: TraceEvent) {
+        if !self.is_enabled() {
+            return;
+        }
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(event);
+    }
+
+    /// The retained events, oldest first (empty when disabled).
+    #[must_use]
+    pub fn events(&self) -> Vec<&TraceEvent> {
+        self.events.iter().collect()
+    }
+
+    /// Events evicted by the ring bound (0 when disabled).
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Number of retained events.
+    /// Retained event count.
     #[must_use]
     pub fn len(&self) -> usize {
         self.events.len()
@@ -183,99 +190,6 @@ impl EventLog {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-}
-
-impl EventSink for EventLog {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-}
-
-/// The recorder a component embeds: a possibly-absent [`EventLog`].
-///
-/// Disabled (the default) it is a single `None` — `emit` is one branch,
-/// no allocation, no event construction. [`EventBuffer::enable`] arms a
-/// bounded log at runtime.
-#[derive(Debug, Clone, Default)]
-pub struct EventBuffer {
-    log: Option<EventLog>,
-}
-
-impl EventBuffer {
-    /// The default, disabled recorder.
-    #[must_use]
-    pub fn disabled() -> Self {
-        EventBuffer { log: None }
-    }
-
-    /// A recorder armed with a log bounded to `capacity` events.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventBuffer {
-            log: Some(EventLog::with_capacity(capacity)),
-        }
-    }
-
-    /// Arms recording (replacing any previous log) with the given bound.
-    pub fn enable(&mut self, capacity: usize) {
-        self.log = Some(EventLog::with_capacity(capacity));
-    }
-
-    /// Whether events are being retained.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.log.is_some()
-    }
-
-    /// The retained events, oldest first (empty when disabled).
-    #[must_use]
-    pub fn events(&self) -> Vec<&TraceEvent> {
-        match &self.log {
-            Some(log) => log.events().collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Events evicted by the ring bound (0 when disabled).
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.log.as_ref().map_or(0, EventLog::dropped)
-    }
-
-    /// Retained event count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.log.as_ref().map_or(0, EventLog::len)
-    }
-
-    /// Whether no events are retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EventSink for EventBuffer {
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.log.is_some()
-    }
-
-    #[inline]
-    fn record(&mut self, event: TraceEvent) {
-        if let Some(log) = &mut self.log {
-            log.record(event);
-        }
     }
 }
 
@@ -354,12 +268,5 @@ mod tests {
         let merged = merge_events(&[&a, &b]);
         let kinds: Vec<&str> = merged.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, ["a", "b", "a"]);
-    }
-
-    #[test]
-    fn null_sink_is_silent() {
-        let mut s = NullSink;
-        s.emit(|| panic!("constructed"));
-        assert!(!s.enabled());
     }
 }

@@ -43,7 +43,7 @@ use esp_nand::{
     BlockAddr, Geometry, NandDevice, NandError, NandTiming, Oob, OpKind, PageAddr, ReadEffort,
     ReadFault, RetentionModel, SubpageAddr,
 };
-use esp_sim::{EventBuffer, EventSink, Log2Histogram, Resource, SimDuration, SimTime, TraceEvent};
+use esp_sim::{EventBuffer, Resource, SimDuration, SimTime, TraceEvent};
 
 /// A failed flash command: the underlying [`NandError`] plus the simulated
 /// time at which the failure was reported to the controller.
@@ -79,15 +79,6 @@ impl std::error::Error for OpFailure {
     }
 }
 
-/// Aggregate timing statistics for the SSD.
-#[derive(Debug, Clone, Default)]
-pub struct SsdStats {
-    /// Latest completion time of any operation (the simulation makespan).
-    pub makespan: SimTime,
-    /// Latency distribution of individual flash operations (ns).
-    pub op_latency: Log2Histogram,
-}
-
 /// Where to cut power during a run.
 ///
 /// A crash point makes exactly one NAND command the *torn* command: a
@@ -120,7 +111,8 @@ pub struct Ssd {
     /// a block's plane is `block % planes_per_chip`.
     planes: Vec<Resource>,
     planes_per_chip: u32,
-    stats: SsdStats,
+    /// Latest completion time of any operation (the simulation makespan).
+    makespan: SimTime,
     crash_point: Option<CrashPoint>,
     crashed: bool,
     commands_issued: u64,
@@ -189,7 +181,7 @@ impl Ssd {
             channels,
             planes,
             planes_per_chip,
-            stats: SsdStats::default(),
+            makespan: SimTime::ZERO,
             crash_point: None,
             crashed: false,
             commands_issued: 0,
@@ -233,16 +225,10 @@ impl Ssd {
         &mut self.device
     }
 
-    /// Timing statistics.
-    #[must_use]
-    pub fn stats(&self) -> &SsdStats {
-        &self.stats
-    }
-
     /// Latest completion time across all operations so far.
     #[must_use]
     pub fn makespan(&self) -> SimTime {
-        self.stats.makespan
+        self.makespan
     }
 
     /// Utilization of every channel over the current makespan.
@@ -250,7 +236,7 @@ impl Ssd {
     pub fn channel_utilization(&self) -> Vec<f64> {
         self.channels
             .iter()
-            .map(|c| c.utilization(self.stats.makespan))
+            .map(|c| c.utilization(self.makespan))
             .collect()
     }
 
@@ -264,7 +250,7 @@ impl Ssd {
             .map(|planes| {
                 planes
                     .iter()
-                    .map(|p| p.utilization(self.stats.makespan))
+                    .map(|p| p.utilization(self.makespan))
                     .sum::<f64>()
                     / ppc as f64
             })
@@ -438,7 +424,7 @@ impl Ssd {
                 .field("block", u64::from(block.block))
                 .field("lat_ns", done.saturating_since(issue).as_nanos())
         });
-        self.finish(issue, done)
+        self.finish(done)
     }
 
     /// Schedules a read-like op: cell time first, then channel transfer.
@@ -463,14 +449,11 @@ impl Ssd {
                 .field("retry_ns", penalty.as_nanos())
                 .field("lat_ns", done.saturating_since(issue).as_nanos())
         });
-        self.finish(issue, done)
+        self.finish(done)
     }
 
-    fn finish(&mut self, issue: SimTime, done: SimTime) -> SimTime {
-        self.stats.makespan = self.stats.makespan.max(done);
-        self.stats
-            .op_latency
-            .record(done.saturating_since(issue).as_nanos());
+    fn finish(&mut self, done: SimTime) -> SimTime {
+        self.makespan = self.makespan.max(done);
         done
     }
 
@@ -682,7 +665,7 @@ impl Ssd {
                 .field("block", u64::from(block.block))
                 .field("lat_ns", done.saturating_since(issue).as_nanos())
         });
-        self.finish(issue, done)
+        self.finish(done)
     }
 
     /// Erases a block, returning the completion time.
@@ -955,7 +938,7 @@ mod tests {
             "a status-failed program occupies bus and cell like a real one"
         );
         assert_eq!(s.makespan(), err.at);
-        assert_eq!(s.stats().op_latency.count(), 1);
+        assert_eq!(s.commands_issued(), 1, "the failed attempt executed");
     }
 
     #[test]
@@ -994,14 +977,14 @@ mod tests {
     }
 
     #[test]
-    fn makespan_and_histogram_track_ops() {
+    fn makespan_and_command_count_track_ops() {
         let mut s = ssd();
         let page = s.geometry().block_addr(0).page(0);
         s.program_subpage(page.subpage(0), oob(1), SimTime::ZERO)
             .unwrap();
         s.program_subpage(page.subpage(1), oob(2), SimTime::ZERO)
             .unwrap();
-        assert_eq!(s.stats().op_latency.count(), 2);
+        assert_eq!(s.commands_issued(), 2);
         assert!(s.makespan() > SimTime::from_micros(2600));
     }
 

@@ -105,20 +105,30 @@ fn distinct_chips_run_parallel() {
     assert_eq!(ssd.makespan() - SimTime::ZERO, single);
 }
 
-/// The op-latency histogram records exactly one entry per successful
-/// operation.
+/// The command counter counts exactly the operations that executed;
+/// rejected ones never reach the array.
 #[test]
-fn histogram_counts_ops() {
+fn command_count_tracks_executed_ops() {
     for programs in 1u32..10 {
         let g = Geometry::tiny();
         let mut ssd = Ssd::new(g.clone());
+        let mut executed = 0;
         for i in 0..programs {
             let addr = g.block_addr(i % 8).page(0).subpage(0);
-            let _ = ssd.program_subpage(addr, oob(u64::from(i)), SimTime::ZERO);
+            if ssd
+                .program_subpage(addr, oob(u64::from(i)), SimTime::ZERO)
+                .is_ok()
+            {
+                executed += 1;
+            }
         }
-        // Every attempt either succeeded (counted) or failed without time.
-        assert!(ssd.stats().op_latency.count() <= u64::from(programs));
-        assert!(ssd.stats().op_latency.count() >= 1);
+        assert_eq!(ssd.commands_issued(), executed);
+        assert!(executed >= 1);
+        // A full-page program of a written page is illegal: rejected at
+        // issue, it never counts.
+        let dirty = g.block_addr(0).page(0);
+        assert!(ssd.program_full(dirty, &[None; 4], SimTime::ZERO).is_err());
+        assert_eq!(ssd.commands_issued(), executed);
     }
 }
 

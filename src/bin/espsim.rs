@@ -445,10 +445,11 @@ fn print_report(r: &RunReport, lifetime: &esp_storage::ftl::FtlStats) {
     println!("  simulated time  {}", r.makespan);
     println!("  IOPS            {:.0}", r.iops);
     println!("  write bandwidth {:.1} MB/s", r.write_bandwidth_mbps());
+    let latency = r.latency();
     println!(
         "  latency p50/p99 {} / {}",
-        r.latency_p50(),
-        r.latency_p99()
+        SimDuration::from_nanos(latency.percentile(0.50)),
+        SimDuration::from_nanos(latency.percentile(0.99))
     );
     println!("  erases          {}", r.erases);
     println!("  GC invocations  {}", r.stats.gc_invocations);

@@ -356,6 +356,44 @@ fn run_json_emits_valid_bench_report_with_events() {
 }
 
 #[test]
+fn text_latency_line_matches_the_json_percentiles() {
+    use esp_storage::sim::{Json, SimDuration};
+
+    let dir = std::env::temp_dir().join("espsim_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("latency_line.json");
+    let path_s = path.to_str().unwrap();
+
+    let (ok, stdout, stderr) = espsim(&[
+        "run",
+        "--ftl",
+        "sub",
+        "--rsmall",
+        "1.0",
+        "--requests",
+        "3000",
+        "--json",
+        path_s,
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let run = &doc.get("runs").unwrap().as_arr().unwrap()[0];
+    let at = |field: &str| {
+        let ns = run
+            .path(&format!("latency.all.{field}"))
+            .and_then(Json::as_u64)
+            .unwrap();
+        SimDuration::from_nanos(ns)
+    };
+    let line = format!("  latency p50/p99 {} / {}", at("p50_ns"), at("p99_ns"));
+    assert!(
+        stdout.lines().any(|l| l == line),
+        "text must print the JSON percentiles, `{line}`, in:\n{stdout}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn compare_json_has_one_run_per_ftl() {
     use esp_storage::ftl::validate_bench;
     use esp_storage::sim::Json;
