@@ -71,28 +71,14 @@ impl CgmFtl {
     /// Panics if the configuration is invalid (see [`FtlConfig::validate`]).
     #[must_use]
     pub fn new(config: &FtlConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
-        let ssd = Ssd::with_planes(
-            config.geometry.clone(),
-            config.timing.clone(),
-            config.retention.clone(),
-            config.planes_per_chip,
-        );
-        Self::with_ssd(config, ssd)
+        Self::with_ssd(config, config.build_ssd())
     }
 
     /// Builds the FTL structures over an existing (possibly non-empty)
     /// device; mapping state starts empty — see [`CgmFtl::recover`] for
     /// rebuilding it from flash contents.
     pub(crate) fn with_ssd(config: &FtlConfig, mut ssd: Ssd) -> Self {
-        if let Some(f) = &config.fault {
-            ssd.device_mut().set_faults(f.clone());
-        }
-        ssd.device_mut()
-            .set_retry_ladder(config.retry_ladder.clone());
-        ssd.device_mut().set_adaptive_erase(config.adaptive_erase);
+        config.arm_device(&mut ssd);
         let logical_sectors = config.logical_sectors();
         let lpn_count = logical_sectors / u64::from(SECTORS_PER_PAGE);
         let all_blocks: Vec<u32> = (0..config.geometry.block_count()).collect();
@@ -154,14 +140,7 @@ impl CgmFtl {
     /// device's geometry.
     #[must_use]
     pub fn recover(mut ssd: Ssd, config: &FtlConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
-        assert_eq!(
-            *ssd.geometry(),
-            config.geometry,
-            "recovery config geometry mismatch"
-        );
+        config.assert_mountable(&ssd);
         let scan = crate::recovery::scan_device(&mut ssd);
         let scans = scan.blocks;
         let mut ftl = Self::with_ssd(config, ssd);
@@ -206,6 +185,14 @@ impl CgmFtl {
     /// (see [`FullRegionEngine::pool_fingerprint`]).
     pub(crate) fn pool_fingerprint(&self) -> Vec<u64> {
         self.engine.pool_fingerprint()
+    }
+
+    /// Asserts the engine's pool invariants plus map/validity agreement
+    /// (see `BlockPool::check_invariants`). Intended for tests; panics on
+    /// violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.engine.check_invariants();
     }
 
     fn next_seq(&mut self) -> u64 {

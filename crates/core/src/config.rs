@@ -4,6 +4,7 @@ use std::fmt;
 
 use esp_nand::{FaultConfig, Geometry, NandTiming, RetentionModel, RetryLadder};
 use esp_sim::SimDuration;
+use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
 use crate::gc_policy::GcPolicyKind;
@@ -328,6 +329,56 @@ impl FtlConfig {
             }
         }
         Ok(())
+    }
+
+    /// Panics with the validation error unless the configuration is valid
+    /// (see [`FtlConfig::validate`]).
+    fn assert_valid(&self) {
+        self.validate()
+            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
+    }
+
+    /// Validates the configuration and builds the empty device it
+    /// describes.
+    pub(crate) fn build_ssd(&self) -> Ssd {
+        self.assert_valid();
+        Ssd::with_planes(
+            self.geometry.clone(),
+            self.timing.clone(),
+            self.retention.clone(),
+            self.planes_per_chip,
+        )
+    }
+
+    /// Checks that the flash image in `ssd` can be remounted under this
+    /// configuration: the configuration is valid and its geometry matches
+    /// the device's.
+    pub(crate) fn assert_mountable(&self, ssd: &Ssd) {
+        self.assert_valid();
+        assert_eq!(
+            *ssd.geometry(),
+            self.geometry,
+            "recovery config geometry mismatch"
+        );
+    }
+
+    /// Arms the device features the configuration selects, in this order:
+    /// fault injection, the read-retry ladder, adaptive erase.
+    pub(crate) fn arm_device(&self, ssd: &mut Ssd) {
+        if let Some(f) = &self.fault {
+            ssd.device_mut().set_faults(f.clone());
+        }
+        ssd.device_mut().set_retry_ladder(self.retry_ladder.clone());
+        ssd.device_mut().set_adaptive_erase(self.adaptive_erase);
+    }
+
+    /// Blocks per chip of the hybrid FTLs' fine-grained region (subFTL's
+    /// subpage region, sector-log's log region):
+    /// `subpage_region_fraction` of the chip, at least 2, leaving at least
+    /// one block to the coarse region.
+    pub(crate) fn hot_blocks_per_chip(&self) -> u32 {
+        let bpc = self.geometry.blocks_per_chip;
+        ((f64::from(bpc) * self.subpage_region_fraction).round() as u32).clamp(2, bpc - 1)
     }
 }
 

@@ -12,9 +12,10 @@ use esp_sim::{merge_events, EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::{BlockPool, Refill};
 use crate::buffer::{FlushChunk, WriteBuffer};
 use crate::config::FtlConfig;
-use crate::gc_policy::{select_victim, GcPolicyKind, SelectOpts, VictimCandidate};
+use crate::gc_policy::GcPolicyKind;
 use crate::map_cache::{MapCache, MapCacheStats};
 use crate::read_path::{note_read_result, ReadReliability};
 use crate::runner::Ftl;
@@ -25,37 +26,6 @@ const NO_PTR: u32 = u32::MAX;
 /// GC never shrinks the free watermark below this floor: one free block is
 /// the minimum needed to keep copy-out possible at all.
 const WATERMARK_FLOOR: u32 = 1;
-
-#[derive(Debug, Clone)]
-struct FgmBlock {
-    gbi: u32,
-    /// Chip holding this block (`gbi / blocks_per_chip`), precomputed so
-    /// hot paths like GC victim scans avoid a division per lookup.
-    chip: u32,
-    /// Validity per subpage (pages × N_sub entries).
-    valid: Vec<bool>,
-    valid_count: u32,
-    programmed_pages: u32,
-    /// Bad block (factory-marked or grown): never allocated again.
-    retired: bool,
-    /// Monotone close stamp (0 = recovered/erased: maximally old to the
-    /// age-aware GC policies).
-    closed_seq: u64,
-}
-
-impl FgmBlock {
-    fn new(gbi: u32, blocks_per_chip: u32, pages: u32, nsub: u32) -> Self {
-        FgmBlock {
-            gbi,
-            chip: gbi / blocks_per_chip,
-            valid: vec![false; (pages * nsub) as usize],
-            valid_count: 0,
-            programmed_pages: 0,
-            retired: false,
-            closed_seq: 0,
-        }
-    }
-}
 
 /// The FGM-scheme FTL baseline.
 ///
@@ -73,11 +43,8 @@ impl FgmBlock {
 #[derive(Debug, Clone)]
 pub struct FgmFtl {
     ssd: Ssd,
-    blocks: Vec<FgmBlock>,
-    free: Vec<u32>,
-    /// One active (open) block per chip, so programs stripe across chips.
-    actives: Vec<Option<u32>>,
-    rr: usize,
+    /// The 4 KB pool: `N_sub` mapping units per page.
+    pool: BlockPool,
     /// LSN → packed subpage pointer (`block * pages * nsub + page * nsub +
     /// slot`), `NO_PTR` for unmapped.
     l2p: Vec<u32>,
@@ -91,8 +58,6 @@ pub struct FgmFtl {
     background_gc: bool,
     /// GC victim-selection policy (greedy by default).
     gc_policy: GcPolicyKind,
-    /// Next close stamp (starts at 1; see [`FgmBlock::closed_seq`]).
-    closed_seq_counter: u64,
     /// DFTL-style demand-cached mapping tier; `None` keeps the full map
     /// resident (the default, bit-identical to pre-cache builds).
     map_cache: Option<MapCache>,
@@ -131,42 +96,24 @@ impl FgmFtl {
     /// Panics if the configuration is invalid (see [`FtlConfig::validate`]).
     #[must_use]
     pub fn new(config: &FtlConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
-        let ssd = Ssd::with_planes(
-            config.geometry.clone(),
-            config.timing.clone(),
-            config.retention.clone(),
-            config.planes_per_chip,
-        );
-        Self::with_ssd(config, ssd)
+        Self::with_ssd(config, config.build_ssd())
     }
 
     /// Builds the FTL structures over an existing (possibly non-empty)
     /// device; mapping state starts empty — see [`FgmFtl::recover`] for
     /// rebuilding it from flash contents.
     pub(crate) fn with_ssd(config: &FtlConfig, mut ssd: Ssd) -> Self {
-        if let Some(f) = &config.fault {
-            ssd.device_mut().set_faults(f.clone());
-        }
-        ssd.device_mut()
-            .set_retry_ladder(config.retry_ladder.clone());
-        ssd.device_mut().set_adaptive_erase(config.adaptive_erase);
+        config.arm_device(&mut ssd);
         let g = &config.geometry;
-        let blocks: Vec<FgmBlock> = (0..g.block_count())
-            .map(|gbi| {
-                FgmBlock::new(
-                    gbi,
-                    g.blocks_per_chip,
-                    g.pages_per_block,
-                    g.subpages_per_page,
-                )
-            })
-            .collect();
-        let free = (0..blocks.len() as u32).collect();
+        let gbis: Vec<u32> = (0..g.block_count()).collect();
+        let pool = BlockPool::new(
+            &gbis,
+            g.pages_per_block,
+            g.subpages_per_page,
+            g.blocks_per_chip,
+            g.chip_count() as usize,
+        );
         let logical_sectors = config.logical_sectors();
-        let chips = g.chip_count() as usize;
         let map_cache = config.map_cache.as_ref().map(|mc| {
             use esp_nand::OpKind;
             MapCache::new(
@@ -180,10 +127,7 @@ impl FgmFtl {
         });
         let mut ftl = FgmFtl {
             ssd,
-            blocks,
-            free,
-            actives: vec![None; chips],
-            rr: 0,
+            pool,
             l2p: vec![NO_PTR; logical_sectors as usize],
             buffer: WriteBuffer::new(config.write_buffer_sectors),
             stats: FtlStats::new(),
@@ -194,7 +138,6 @@ impl FgmFtl {
             watermark: config.gc_free_watermark,
             background_gc: config.background_gc,
             gc_policy: config.gc_policy,
-            closed_seq_counter: 1,
             map_cache,
             wear_leveling: config.wear_leveling,
             wear_delta: config.wear_delta_threshold,
@@ -208,26 +151,13 @@ impl FgmFtl {
             chunks_scratch: Vec::new(),
             group_scratch: Vec::new(),
         };
-        // Exclude factory-marked and previously grown bad blocks (local
-        // block index == gbi here).
+        // Exclude factory-marked and previously grown bad blocks.
         for gbi in ftl.ssd.device().bad_block_indices() {
-            ftl.retire_block(gbi);
-            ftl.stats.blocks_retired += 1;
-        }
-        ftl
-    }
-
-    /// Takes a block out of service: never allocated, never a GC victim.
-    fn retire_block(&mut self, local: u32) {
-        self.blocks[local as usize].retired = true;
-        if let Some(pos) = self.free.iter().position(|&f| f == local) {
-            self.free.swap_remove(pos);
-        }
-        for a in &mut self.actives {
-            if *a == Some(local) {
-                *a = None;
+            if ftl.pool.retire_gbi(gbi) {
+                ftl.stats.blocks_retired += 1;
             }
         }
+        ftl
     }
 
     /// Rebuilds an fgmFTL from the contents of a previously written device
@@ -242,25 +172,17 @@ impl FgmFtl {
     /// device's geometry.
     #[must_use]
     pub fn recover(mut ssd: Ssd, config: &FtlConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
-        assert_eq!(
-            *ssd.geometry(),
-            config.geometry,
-            "recovery config geometry mismatch"
-        );
+        config.assert_mountable(&ssd);
         let scan = crate::recovery::scan_device(&mut ssd);
         let scans = scan.blocks;
         let mut ftl = Self::with_ssd(config, ssd);
         ftl.stats.torn_pages_quarantined = scan.torn_pages;
         // lsn -> (seq, block, page, slot).
         let mut best: Vec<Option<(u64, u32, u32, u32)>> = vec![None; ftl.logical_sectors as usize];
+        let mut programmed = vec![0u32; scans.len()];
         let mut max_seq = 0u64;
         for (b, scan) in scans.iter().enumerate() {
-            ftl.blocks[b].programmed_pages = scan.programmed_pages();
-            ftl.blocks[b].valid.fill(false);
-            ftl.blocks[b].valid_count = 0;
+            programmed[b] = scan.programmed_pages();
             for (p, page) in scan.pages.iter().enumerate() {
                 for slot in &page.live {
                     max_seq = max_seq.max(slot.seq);
@@ -274,38 +196,13 @@ impl FgmFtl {
                 }
             }
         }
+        ftl.pool.restore(&programmed);
         for (lsn, entry) in best.iter().enumerate() {
             let Some((_, b, p, slot)) = *entry else {
                 continue;
             };
             ftl.l2p[lsn] = ftl.pack(b, p, slot);
-            let blk = &mut ftl.blocks[b as usize];
-            blk.valid[(p * ftl.nsub + slot) as usize] = true;
-            blk.valid_count += 1;
-        }
-        ftl.free = ftl
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.retired && b.programmed_pages == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        // Resume one partially programmed block per chip as the active
-        // block; close any extras so GC can eventually reclaim them.
-        for a in &mut ftl.actives {
-            *a = None;
-        }
-        for i in 0..ftl.blocks.len() {
-            let b = &ftl.blocks[i];
-            if b.retired || b.programmed_pages == 0 || b.programmed_pages >= ftl.pages_per_block {
-                continue;
-            }
-            let chip = ftl.chip_of(i as u32);
-            if ftl.actives[chip].is_none() {
-                ftl.actives[chip] = Some(i as u32);
-            } else {
-                ftl.blocks[i].programmed_pages = ftl.pages_per_block;
-            }
+            ftl.pool.mark_valid(b, p * ftl.nsub + slot);
         }
         ftl.seq = max_seq;
         ftl
@@ -315,43 +212,10 @@ impl FgmFtl {
         &mut self.ssd
     }
 
-    /// Allocation-state digest (free pool, retired pool, open blocks,
-    /// per-block fill) for the crash harness's idempotence check.
-    /// Simulated times are excluded: two mounts of the same flash image
-    /// happen at different clocks but must land in the same state.
+    /// Allocation-state digest for the crash harness's idempotence check
+    /// (see `BlockPool::fingerprint`).
     pub(crate) fn pool_fingerprint(&self) -> Vec<u64> {
-        // Keyed by device-global block index: local positions are a mount
-        // artifact, and retired blocks drop out of a remount entirely.
-        let mut out = Vec::new();
-        let mut free: Vec<u64> = self
-            .free
-            .iter()
-            .map(|&b| u64::from(self.blocks[b as usize].gbi))
-            .collect();
-        free.sort_unstable();
-        out.extend(free);
-        out.push(u64::MAX);
-        for a in &self.actives {
-            out.push(a.map_or(u64::MAX - 1, |b| u64::from(self.blocks[b as usize].gbi)));
-        }
-        out.push(u64::MAX);
-        let mut live: Vec<[u64; 3]> = self
-            .blocks
-            .iter()
-            .filter(|b| !b.retired)
-            .map(|b| {
-                [
-                    u64::from(b.gbi),
-                    u64::from(b.programmed_pages),
-                    u64::from(b.valid_count),
-                ]
-            })
-            .collect();
-        live.sort_unstable();
-        for b in live {
-            out.extend(b);
-        }
-        out
+        self.pool.fingerprint()
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -376,116 +240,16 @@ impl FgmFtl {
         let old = self.l2p[lsn as usize];
         if old != NO_PTR {
             let (ob, op, os) = self.unpack(old);
-            let b = &mut self.blocks[ob as usize];
-            let idx = (op * self.nsub + os) as usize;
-            if b.valid[idx] {
-                b.valid[idx] = false;
-                b.valid_count -= 1;
-            }
+            self.pool.invalidate(ob, op * self.nsub + os);
         }
         self.l2p[lsn as usize] = self.pack(block, page, slot);
-        let b = &mut self.blocks[block as usize];
-        b.valid[(page * self.nsub + slot) as usize] = true;
-        b.valid_count += 1;
-    }
-
-    fn chip_of(&self, local: u32) -> usize {
-        self.blocks[local as usize].chip as usize
-    }
-
-    /// Stamps `local` with the next close sequence if it just became fully
-    /// programmed (feeds the age term of the age-aware GC policies).
-    fn note_closed(&mut self, local: u32) {
-        let blk = &mut self.blocks[local as usize];
-        if blk.programmed_pages >= self.pages_per_block && blk.closed_seq == 0 {
-            blk.closed_seq = self.closed_seq_counter;
-            self.closed_seq_counter += 1;
-        }
-    }
-
-    /// Effective P/E of a block: oxide-stress based under adaptive erase,
-    /// identical to the raw erase count otherwise.
-    fn block_pe(&self, local: u32) -> u32 {
-        let gbi = self.blocks[local as usize].gbi;
-        self.ssd
-            .device()
-            .effective_pe(self.ssd.geometry().block_addr(gbi))
-    }
-
-    /// Whole pages still programmable without GC: room left in the open
-    /// blocks plus every block in the free pool.
-    fn allocatable_pages(&self) -> u64 {
-        let mut pages = self.free.len() as u64 * u64::from(self.pages_per_block);
-        for a in self.actives.iter().flatten() {
-            pages += u64::from(self.pages_per_block - self.blocks[*a as usize].programmed_pages);
-        }
-        pages
-    }
-
-    fn can_alloc_page(&self) -> bool {
-        self.allocatable_pages() > 0
-    }
-
-    /// O(1) test for "is this block an open active block". Equivalent to
-    /// `self.actives.contains(&Some(local))`: an active block only ever
-    /// occupies its own chip's slot (see [`FgmFtl::alloc_page`]).
-    fn is_active(&self, local: u32) -> bool {
-        self.actives[self.chip_of(local)] == Some(local)
-    }
-
-    /// Allocates the next whole physical page, round-robining across
-    /// per-chip active blocks so consecutive programs pipeline on
-    /// different chips.
-    fn alloc_page(&mut self) -> (u32, u32) {
-        let chips = self.actives.len();
-        // Every chip's least-worn free block, found in ONE pass over the
-        // pool, computed lazily on the first chip that needs a refill.
-        // The pool is not mutated until a pick succeeds (which returns),
-        // so the single pass sees exactly what per-chip scans would see,
-        // and keeping the first strict minimum in pool order reproduces
-        // `min_by_key`'s first-minimum tie-break per chip.
-        let mut picks: Option<Vec<Option<(u32, usize)>>> = None;
-        for i in 0..chips {
-            let chip = (self.rr + i) % chips;
-            let usable = match self.actives[chip] {
-                Some(b) => self.blocks[b as usize].programmed_pages < self.pages_per_block,
-                None => false,
-            };
-            if !usable {
-                let picks = picks.get_or_insert_with(|| {
-                    let mut p: Vec<Option<(u32, usize)>> = vec![None; chips];
-                    for (idx, &b) in self.free.iter().enumerate() {
-                        let c = self.chip_of(b);
-                        let gbi = self.blocks[b as usize].gbi;
-                        let pe = self
-                            .ssd
-                            .device()
-                            .effective_pe(self.ssd.geometry().block_addr(gbi));
-                        if p[c].is_none_or(|(best, _)| pe < best) {
-                            p[c] = Some((pe, idx));
-                        }
-                    }
-                    p
-                });
-                match picks[chip] {
-                    Some((_, p)) => self.actives[chip] = Some(self.free.swap_remove(p)),
-                    None => continue,
-                }
-            }
-            let block = self.actives[chip].expect("just ensured");
-            let page = self.blocks[block as usize].programmed_pages;
-            self.blocks[block as usize].programmed_pages += 1;
-            self.note_closed(block);
-            self.rr = chip + 1;
-            return (block, page);
-        }
-        panic!("fgm: no free block on any chip (overcommitted)");
+        self.pool.mark_valid(block, page * self.nsub + slot);
     }
 
     /// Programs up to `N_sub` sectors into one physical page, mapping each.
-    /// Returns the completion time. A program that reports status fail is
-    /// retried on the next allocated page; the failed page holds no valid
-    /// data, so GC reclaims it with its block.
+    /// Returns the completion time. When nothing can be programmed (power
+    /// off, or space exhausted at end of life) the program is dropped and
+    /// any sector that was already mapped keeps its old copy.
     fn program_group(&mut self, group: &[(u64, u64)], issue: SimTime) -> SimTime {
         debug_assert!(!group.is_empty() && group.len() <= self.nsub as usize);
         let mut oobs = std::mem::take(&mut self.oob_scratch);
@@ -494,36 +258,20 @@ impl FgmFtl {
         for (slot, &(lsn, seq)) in group.iter().enumerate() {
             oobs[slot] = Some(Oob { lsn, seq });
         }
-        let mut now = issue;
-        let done = loop {
-            if self.ssd.halted() {
-                // Power is off: with GC fenced the pool may legitimately be
-                // empty, so bail out before alloc_page can panic over it.
-                break now;
-            }
-            if !self.can_alloc_page() {
-                // Space exhausted (end of life): drop the program rather
-                // than panic. Any sector that was already mapped keeps its
-                // old copy, so reads stay well-formed.
-                break now;
-            }
-            let (block, page) = self.alloc_page();
-            let gbi = self.blocks[block as usize].gbi;
-            let addr = self.ssd.geometry().block_addr(gbi).page(page);
-            match self.ssd.program_full(addr, &oobs, now) {
-                Ok(done) => {
-                    for (slot, &(lsn, _)) in group.iter().enumerate() {
-                        self.map_sector(lsn, block, page, slot as u32);
-                    }
-                    break done;
+        let done = match self.pool.program(
+            &mut self.ssd,
+            &oobs,
+            &mut self.stats,
+            Refill::LeastWorn,
+            issue,
+        ) {
+            Ok((block, page, done)) => {
+                for (slot, &(lsn, _)) in group.iter().enumerate() {
+                    self.map_sector(lsn, block, page, slot as u32);
                 }
-                Err(f) if f.error == esp_nand::NandError::ProgramFailed => {
-                    self.stats.program_failures += 1;
-                    self.stats.write_retries += 1;
-                    now = f.at;
-                }
-                Err(f) => panic!("fgm allocated a clean page: {f}"),
+                done
             }
+            Err(now) => now,
         };
         self.oob_scratch = oobs;
         done
@@ -536,7 +284,7 @@ impl FgmFtl {
     /// `exhausted` — the drive is at end of life.
     fn ensure_space(&mut self, issue: SimTime) -> SimTime {
         let mut now = issue;
-        while !self.ssd.halted() && !self.exhausted && (self.free.len() as u32) < self.watermark {
+        while !self.ssd.halted() && !self.exhausted && self.pool.free_blocks() < self.watermark {
             match self.try_collect_victim(now, "watermark") {
                 Some(done) => now = done,
                 None if self.watermark > WATERMARK_FLOOR => {
@@ -552,45 +300,13 @@ impl FgmFtl {
         now
     }
 
-    /// Picks a GC victim under the configured policy (greedy by default —
-    /// bit-identical to the historical min-valid scan), composing the
-    /// wear-leveling valid-count slack when enabled.
-    fn pick_victim(&self) -> Option<u32> {
-        let mut candidates = Vec::new();
-        for (i, b) in self.blocks.iter().enumerate() {
-            if b.programmed_pages < self.pages_per_block || b.retired || self.is_active(i as u32) {
-                continue;
-            }
-            candidates.push(VictimCandidate {
-                index: i as u32,
-                valid: b.valid_count,
-                capacity: self.subpages_per_block(),
-                age: self.closed_seq_counter.saturating_sub(b.closed_seq),
-                wear: if self.wear_leveling {
-                    self.block_pe(i as u32)
-                } else {
-                    0
-                },
-            });
-        }
-        select_victim(
-            self.gc_policy,
-            SelectOpts::standard(self.wear_leveling),
-            &candidates,
-        )
-    }
-
     /// Collects one GC victim, or returns `None` when no victim exists,
     /// none can net free space, or the copy-out would not fit in the
     /// remaining allocatable pages (erasing then would drop sole copies).
     fn try_collect_victim(&mut self, issue: SimTime, cause: &'static str) -> Option<SimTime> {
-        let victim = self.pick_victim()?;
-        let valid = self.blocks[victim as usize].valid_count;
-        if valid >= self.subpages_per_block()
-            || u64::from(valid.div_ceil(self.nsub)) > self.allocatable_pages()
-        {
-            return None;
-        }
+        let (victim, valid) =
+            self.pool
+                .feasible_victim(&self.ssd, self.gc_policy, self.wear_leveling)?;
         self.stats.gc_invocations += 1;
         self.trace.emit(|| {
             TraceEvent::new(issue.as_nanos(), "gc.collect")
@@ -601,18 +317,16 @@ impl FgmFtl {
         Some(self.collect_block(victim, issue))
     }
 
-    /// Relocates every valid sector of `victim` (repacked `N_sub` to a
-    /// page) and erases it. Shared by GC victim collection and the
-    /// read-disturb patrol, which may collect fully-valid blocks.
+    /// Relocates every valid sector of `victim` — all valid pages are read
+    /// first, then the survivors are repacked `N_sub` to a page — and
+    /// erases it. Shared by GC victim collection, static wear leveling and
+    /// the read-disturb patrol, which may collect fully-valid blocks.
     fn collect_block(&mut self, victim: u32, issue: SimTime) -> SimTime {
-        let gbi = self.blocks[victim as usize].gbi;
+        let gbi = self.pool.gbi(victim);
         let mut now = issue;
-        // Collect surviving sectors, then repack them 4-to-a-page.
         let mut survivors: Vec<(u64, u64)> = Vec::new();
         for page in 0..self.pages_per_block {
-            let any_valid = (0..self.nsub)
-                .any(|s| self.blocks[victim as usize].valid[(page * self.nsub + s) as usize]);
-            if !any_valid {
+            if !self.pool.page_has_valid(victim, page) {
                 continue;
             }
             let addr = self.ssd.geometry().block_addr(gbi).page(page);
@@ -623,7 +337,7 @@ impl FgmFtl {
                 return now;
             }
             for (slot, r) in self.slots_scratch.iter().enumerate() {
-                if self.blocks[victim as usize].valid[(page * self.nsub) as usize + slot] {
+                if self.pool.is_valid(victim, page * self.nsub + slot as u32) {
                     let oob = r.as_ref().expect("valid subpage must be readable");
                     debug_assert_eq!(
                         self.l2p[oob.lsn as usize],
@@ -639,39 +353,17 @@ impl FgmFtl {
             self.stats.gc_copied_sectors += group.len() as u64;
             self.stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
         }
-        if self.blocks[victim as usize].valid_count > 0 {
+        if self.pool.valid_count(victim) > 0 {
             // Copy-out could not place every survivor (space exhausted
             // mid-GC): leave the victim intact instead of erasing sole
             // copies.
             return now;
         }
-        let blk_addr = self.ssd.geometry().block_addr(gbi);
-        match self.ssd.erase(blk_addr, now) {
-            Ok(done) => {
-                now = done;
-                let b = &mut self.blocks[victim as usize];
-                b.valid.fill(false);
-                b.valid_count = 0;
-                b.programmed_pages = 0;
-                b.closed_seq = 0;
-                self.free.push(victim);
-            }
-            Err(f) if f.error == esp_nand::NandError::EraseFailed => {
-                // Grown bad block: retire it; survivors were copied out
-                // above, so nothing is lost and GC just picks another
-                // victim.
-                now = f.at;
-                let b = &mut self.blocks[victim as usize];
-                b.valid.fill(false);
-                b.valid_count = 0;
-                b.closed_seq = 0;
-                self.retire_block(victim);
-                self.stats.erase_failures += 1;
-                self.stats.blocks_retired += 1;
-            }
-            Err(f) => panic!("erase managed block: {f}"),
+        // An erase failure retires the block; survivors were copied out
+        // above, so nothing is lost and GC just picks another victim.
+        match self.pool.erase(victim, &mut self.ssd, &mut self.stats, now) {
+            Ok(t) | Err(t) => t,
         }
-        now
     }
 
     /// Read-disturb patrol: relocates and erases every block whose sense
@@ -680,32 +372,15 @@ impl FgmFtl {
     fn scrub_disturbed(&mut self, limit: u64, issue: SimTime) -> SimTime {
         let mut now = issue;
         while !self.ssd.halted() {
-            let victim = (0..self.blocks.len() as u32).find(|&b| {
-                let blk = &self.blocks[b as usize];
-                !blk.retired
-                    && blk.programmed_pages > 0
-                    && self
-                        .ssd
-                        .device()
-                        .reads_since_erase(self.ssd.geometry().block_addr(blk.gbi))
-                        >= limit
-            });
-            let Some(victim) = victim else { break };
-            for a in &mut self.actives {
-                if *a == Some(victim) {
-                    *a = None;
-                }
-            }
-            self.blocks[victim as usize].programmed_pages = self.pages_per_block;
-            self.note_closed(victim);
+            let Some(victim) = self.pool.disturbed(&self.ssd, limit) else {
+                break;
+            };
+            self.pool.close(victim);
             // Copy-out needs allocatable space; GC here may collect (and
             // thereby scrub) the victim itself, so re-check before taking
             // it — a completed erase already reset its sense count.
             now = self.ensure_space(now);
-            let addr = self
-                .ssd
-                .geometry()
-                .block_addr(self.blocks[victim as usize].gbi);
+            let addr = self.ssd.geometry().block_addr(self.pool.gbi(victim));
             if self.ssd.device().reads_since_erase(addr) >= limit && !self.ssd.halted() {
                 let at = now.as_nanos();
                 self.trace.emit(|| {
@@ -715,7 +390,7 @@ impl FgmFtl {
                 });
                 now = self.collect_block(victim, now);
                 self.stats.disturb_scrubs += 1;
-                if self.blocks[victim as usize].valid_count > 0 {
+                if self.pool.valid_count(victim) > 0 {
                     // Space exhausted: the block cannot be relocated, and
                     // retrying it forever would livelock the patrol.
                     break;
@@ -754,36 +429,17 @@ impl FgmFtl {
     /// block's data so the lightly-worn block re-enters the free pool and
     /// absorbs hot writes. One migration per call keeps the cost bounded.
     fn wear_rotate(&mut self, now: SimTime) -> SimTime {
-        let mut max_pe = 0u32;
-        let mut any = false;
-        for (i, b) in self.blocks.iter().enumerate() {
-            if !b.retired {
-                max_pe = max_pe.max(self.block_pe(i as u32));
-                any = true;
-            }
-        }
-        if !any {
-            return now;
-        }
-        let Some(cold) = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                b.programmed_pages >= self.pages_per_block
-                    && !b.retired
-                    && !self.is_active(*i as u32)
-            })
-            .min_by_key(|(i, _)| (self.block_pe(*i as u32), *i))
-            .map(|(i, _)| i as u32)
-        else {
+        let Some((_, max_pe)) = self.pool.wear_spread(&self.ssd) else {
             return now;
         };
-        if max_pe.saturating_sub(self.block_pe(cold)) <= self.wear_delta {
+        let Some((cold, cold_pe)) = self.pool.coldest_collectable(&self.ssd) else {
+            return now;
+        };
+        if max_pe.saturating_sub(cold_pe) <= self.wear_delta {
             return now;
         }
-        let valid = self.blocks[cold as usize].valid_count;
-        if u64::from(valid.div_ceil(self.nsub)) > self.allocatable_pages() {
+        let valid = self.pool.valid_count(cold);
+        if !self.pool.fits(valid) {
             return now;
         }
         self.stats.wear_level_migrations += 1;
@@ -828,7 +484,7 @@ impl FgmFtl {
                     }
                     t = at;
                 }
-                if !self.ssd.halted() && !self.can_alloc_page() {
+                if !self.ssd.halted() && !self.pool.can_alloc() {
                     // End of life: the flush has nowhere to land. Latch the
                     // refusal so subsequent writes are dropped up front;
                     // already-mapped sectors keep their old copies.
@@ -852,6 +508,28 @@ impl FgmFtl {
             self.buffer.recycle(c);
         }
         done
+    }
+
+    /// Asserts the pool invariants (see `BlockPool::check_invariants`)
+    /// plus map/validity agreement: every mapped sector's subpage is
+    /// valid and the mapped count equals the pool's valid count. Intended
+    /// for tests; panics on violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.pool.check_invariants();
+        let mut mapped = 0u64;
+        for (lsn, &packed) in self.l2p.iter().enumerate() {
+            if packed == NO_PTR {
+                continue;
+            }
+            let (b, p, slot) = self.unpack(packed);
+            assert!(
+                self.pool.is_valid(b, p * self.nsub + slot),
+                "sector {lsn} maps to an invalid subpage"
+            );
+            mapped += 1;
+        }
+        assert_eq!(mapped, self.pool.valid_units(), "l2p and validity disagree");
     }
 }
 
@@ -958,8 +636,11 @@ impl Ftl for FgmFtl {
             while j < groups.len() && (groups[j].0, groups[j].1) == (block, page) {
                 j += 1;
             }
-            let gbi = self.blocks[block as usize].gbi;
-            let addr = self.ssd.geometry().block_addr(gbi).page(page);
+            let addr = self
+                .ssd
+                .geometry()
+                .block_addr(self.pool.gbi(block))
+                .page(page);
             if j - i >= 2 {
                 let (effort, t) =
                     self.ssd
@@ -1036,18 +717,14 @@ impl Ftl for FgmFtl {
             + self.ssd.device().op_cost(OpKind::ProgramFull).total();
         let erase = self.ssd.device().op_cost(OpKind::Erase).total();
         let mut now = from;
-        while (self.free.len() as u32) < self.watermark + 2 {
+        while self.pool.free_blocks() < self.watermark + 2 {
+            // The estimate sizes the emptiest reclaimable block, whatever
+            // the victim policy then picks.
             let victim_valid = self
-                .blocks
-                .iter()
-                .enumerate()
-                .filter(|(i, b)| {
-                    b.programmed_pages >= self.pages_per_block
-                        && b.valid_count < self.subpages_per_block()
-                        && !b.retired
-                        && !self.is_active(*i as u32)
-                })
-                .map(|(_, b)| b.valid_count)
+                .pool
+                .collectable()
+                .map(|(_, valid)| valid)
+                .filter(|&v| v < self.subpages_per_block())
                 .min();
             let Some(valid) = victim_valid else { break };
             let estimate = per_page * u64::from(valid.div_ceil(self.nsub) + 1) + erase;
@@ -1070,11 +747,10 @@ impl Ftl for FgmFtl {
             return None;
         }
         let (b, p, slot) = self.unpack(packed);
-        let gbi = self.blocks[b as usize].gbi;
         let addr = self
             .ssd
             .geometry()
-            .block_addr(gbi)
+            .block_addr(self.pool.gbi(b))
             .page(p)
             .subpage(slot as u8);
         match self.ssd.device().subpage_state(addr) {
@@ -1090,12 +766,7 @@ impl Ftl for FgmFtl {
             let packed = self.l2p[s as usize];
             if packed != NO_PTR {
                 let (b, p, slot) = self.unpack(packed);
-                let blk = &mut self.blocks[b as usize];
-                let idx = (p * self.nsub + slot) as usize;
-                if blk.valid[idx] {
-                    blk.valid[idx] = false;
-                    blk.valid_count -= 1;
-                }
+                self.pool.invalidate(b, p * self.nsub + slot);
                 self.l2p[s as usize] = NO_PTR;
             }
         }
@@ -1189,8 +860,7 @@ mod tests {
         let mut ftl = tiny_ftl();
         ftl.write(3, 1, true, SimTime::ZERO);
         ftl.write(3, 1, true, SimTime::from_secs(1));
-        let total_valid: u32 = ftl.blocks.iter().map(|b| b.valid_count).sum();
-        assert_eq!(total_valid, 1);
+        assert_eq!(ftl.pool.valid_units(), 1);
     }
 
     #[test]

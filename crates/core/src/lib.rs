@@ -49,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block_pool;
 mod buffer;
 mod cgm;
 mod config;

@@ -20,44 +20,15 @@ use esp_sim::{merge_events, EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::{BlockPool, Refill};
 use crate::buffer::{FlushChunk, WriteBuffer};
 use crate::config::FtlConfig;
 use crate::full_region::FullRegionEngine;
-use crate::gc_policy::{select_victim, GcPolicyKind, SelectOpts, VictimCandidate};
+use crate::gc_policy::GcPolicyKind;
 use crate::read_path::{note_read_result, ReadReliability};
 use crate::runner::Ftl;
 use crate::stats::FtlStats;
 use crate::sub_map::{SubEntry, SubpageMap};
-
-#[derive(Debug, Clone)]
-struct LogBlock {
-    gbi: u32,
-    chip: u32,
-    /// Validity per subpage slot (pages × N_sub).
-    valid: Vec<bool>,
-    valid_count: u32,
-    programmed_pages: u32,
-    /// Bad block (factory-marked or grown): never appended to again.
-    retired: bool,
-    /// Monotone stamp taken when the block filled; 0 means "never stamped
-    /// this mount" (erased, or recovered — treated as maximally old by
-    /// age-aware GC policies).
-    closed_seq: u64,
-}
-
-impl LogBlock {
-    fn new(gbi: u32, chip: u32, pages: u32, nsub: u32) -> Self {
-        LogBlock {
-            gbi,
-            chip,
-            valid: vec![false; (pages * nsub) as usize],
-            valid_count: 0,
-            programmed_pages: 0,
-            retired: false,
-            closed_seq: 0,
-        }
-    }
-}
 
 /// The sector-log baseline FTL (see module docs).
 ///
@@ -77,10 +48,8 @@ pub struct SectorLogFtl {
     ssd: Ssd,
     /// Coarse-grained data region (same engine as cgmFTL).
     data: FullRegionEngine,
-    log_blocks: Vec<LogBlock>,
-    log_free: Vec<u32>,
-    log_actives: Vec<Option<u32>>,
-    rr: usize,
+    /// The log region: `N_sub` mapping units per page.
+    log: BlockPool,
     /// Fine-grained log map: lsn → log location.
     log_map: SubpageMap,
     buffer: WriteBuffer,
@@ -93,9 +62,6 @@ pub struct SectorLogFtl {
     /// Victim-selection policy for log-merge GC (the data region's engine
     /// carries its own copy).
     gc_policy: GcPolicyKind,
-    /// Source for [`LogBlock::closed_seq`] stamps; starts at 1 so stamp 0
-    /// stays reserved for "never closed".
-    closed_seq_counter: u64,
     /// Background GC into host idle windows (`FtlConfig::background_gc`).
     background_gc: bool,
     /// Wear-delta bias in log-merge victim selection plus wear-aware log
@@ -125,32 +91,17 @@ impl SectorLogFtl {
     /// Panics if the configuration is invalid (see [`FtlConfig::validate`]).
     #[must_use]
     pub fn new(config: &FtlConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
-        let ssd = Ssd::with_planes(
-            config.geometry.clone(),
-            config.timing.clone(),
-            config.retention.clone(),
-            config.planes_per_chip,
-        );
-        Self::with_ssd(config, ssd)
+        Self::with_ssd(config, config.build_ssd())
     }
 
     /// Builds the FTL structures over an existing (possibly non-empty)
     /// device with the default region layout; mapping state starts empty —
     /// see [`SectorLogFtl::recover`] for rebuilding it from flash contents.
     pub(crate) fn with_ssd(config: &FtlConfig, mut ssd: Ssd) -> Self {
-        if let Some(f) = &config.fault {
-            ssd.device_mut().set_faults(f.clone());
-        }
-        ssd.device_mut()
-            .set_retry_ladder(config.retry_ladder.clone());
-        ssd.device_mut().set_adaptive_erase(config.adaptive_erase);
+        config.arm_device(&mut ssd);
         let g = &config.geometry;
         let bpc = g.blocks_per_chip;
-        let log_per_chip =
-            ((f64::from(bpc) * config.subpage_region_fraction).round() as u32).clamp(2, bpc - 1);
+        let log_per_chip = config.hot_blocks_per_chip();
         let mut log_gbis = Vec::new();
         let mut data_gbis = Vec::new();
         for chip in 0..g.chip_count() {
@@ -174,20 +125,18 @@ impl SectorLogFtl {
         );
         data.set_wear_leveling(config.wear_leveling);
         data.set_gc_policy(config.gc_policy);
-        let log_blocks: Vec<LogBlock> = log_gbis
-            .iter()
-            .map(|&gbi| LogBlock::new(gbi, gbi / bpc, g.pages_per_block, g.subpages_per_page))
-            .collect();
-        let log_free = (0..log_blocks.len() as u32).collect();
-        let chips = g.chip_count() as usize;
-        let map_capacity = log_blocks.len() * (g.pages_per_block * g.subpages_per_page) as usize;
+        let log = BlockPool::new(
+            &log_gbis,
+            g.pages_per_block,
+            g.subpages_per_page,
+            bpc,
+            g.chip_count() as usize,
+        );
+        let map_capacity = log_gbis.len() * (g.pages_per_block * g.subpages_per_page) as usize;
         let mut ftl = SectorLogFtl {
             ssd,
             data,
-            log_blocks,
-            log_free,
-            log_actives: vec![None; chips],
-            rr: 0,
+            log,
             log_map: SubpageMap::with_capacity(map_capacity.max(1)),
             buffer: WriteBuffer::new(config.write_buffer_sectors),
             stats: FtlStats::new(),
@@ -197,7 +146,6 @@ impl SectorLogFtl {
             nsub: g.subpages_per_page,
             watermark: config.gc_free_watermark,
             gc_policy: config.gc_policy,
-            closed_seq_counter: 1,
             background_gc: config.background_gc,
             wear_leveling: config.wear_leveling,
             wear_delta: config.wear_delta_threshold,
@@ -210,14 +158,7 @@ impl SectorLogFtl {
         };
         // Exclude factory-marked bad blocks from whichever region owns them.
         for gbi in ftl.ssd.device().bad_block_indices() {
-            if ftl.data.retire_gbi(gbi) {
-                ftl.stats.blocks_retired += 1;
-            } else if let Some(local) = ftl
-                .log_blocks
-                .iter()
-                .position(|b| b.gbi == gbi && !b.retired)
-            {
-                ftl.retire_log_block(local as u32);
+            if ftl.data.retire_gbi(gbi) || ftl.log.retire_gbi(gbi) {
                 ftl.stats.blocks_retired += 1;
             }
         }
@@ -241,14 +182,7 @@ impl SectorLogFtl {
     /// device's geometry.
     #[must_use]
     pub fn recover(mut ssd: Ssd, config: &FtlConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
-        assert_eq!(
-            *ssd.geometry(),
-            config.geometry,
-            "recovery config geometry mismatch"
-        );
+        config.assert_mountable(&ssd);
         if let Some(f) = &config.fault {
             ssd.device_mut().set_faults(f.clone());
         }
@@ -256,8 +190,7 @@ impl SectorLogFtl {
         let scans = scan.blocks;
         let g = config.geometry.clone();
         let bpc = g.blocks_per_chip;
-        let log_per_chip =
-            ((f64::from(bpc) * config.subpage_region_fraction).round() as u32).clamp(2, bpc - 1);
+        let log_per_chip = config.hot_blocks_per_chip();
         let data_per_chip = bpc - log_per_chip;
         let mut ftl = Self::with_ssd(config, ssd);
         ftl.stats.torn_pages_quarantined = scan.torn_pages;
@@ -278,13 +211,14 @@ impl SectorLogFtl {
         }
         let mut best_log: Vec<Option<LogCand>> = vec![None; ftl.logical_sectors as usize];
         let mut data_programmed = vec![0u32; (g.chip_count() * data_per_chip) as usize];
+        let mut log_programmed = vec![0u32; (g.chip_count() * log_per_chip) as usize];
         let mut max_seq = 0u64;
         for (gbi, scan) in scans.iter().enumerate() {
             let gbi = gbi as u32;
             let (chip, b) = (gbi / bpc, gbi % bpc);
             let log_local = if b < log_per_chip {
                 let local = chip * log_per_chip + b;
-                ftl.log_blocks[local as usize].programmed_pages = scan.programmed_pages();
+                log_programmed[local as usize] = scan.programmed_pages();
                 Some(local)
             } else {
                 let data_local = chip * data_per_chip + (b - log_per_chip);
@@ -335,6 +269,7 @@ impl SectorLogFtl {
             .filter_map(|(lpn, e)| e.map(|(_, b, p)| (lpn as u64, b, p)))
             .collect();
         ftl.data.restore_state(&data_programmed, &mappings);
+        ftl.log.restore(&log_programmed);
 
         // Per-sector sequence number of the chosen data-region copy, used
         // to drop log entries the merges already superseded.
@@ -368,33 +303,8 @@ impl SectorLogFtl {
                     written_at: c.written_at,
                 },
             );
-            let blk = &mut ftl.log_blocks[c.block as usize];
-            blk.valid[(c.page * ftl.nsub + u32::from(c.slot)) as usize] = true;
-            blk.valid_count += 1;
-        }
-        ftl.log_free = ftl
-            .log_blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.retired && b.programmed_pages == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        // Resume one partially programmed log block per chip as the active
-        // append point; close any extras so GC can eventually merge them.
-        for a in &mut ftl.log_actives {
-            *a = None;
-        }
-        for i in 0..ftl.log_blocks.len() {
-            let b = &ftl.log_blocks[i];
-            if b.retired || b.programmed_pages == 0 || b.programmed_pages >= ftl.pages_per_block {
-                continue;
-            }
-            let chip = b.chip as usize;
-            if ftl.log_actives[chip].is_none() {
-                ftl.log_actives[chip] = Some(i as u32);
-            } else {
-                ftl.log_blocks[i].programmed_pages = ftl.pages_per_block;
-            }
+            ftl.log
+                .mark_valid(c.block, c.page * ftl.nsub + u32::from(c.slot));
         }
         ftl.seq = max_seq;
         ftl
@@ -405,58 +315,13 @@ impl SectorLogFtl {
     }
 
     /// Allocation-state digest for the crash harness's idempotence check:
-    /// log-region free/retired/active blocks and fill, plus the data
-    /// region's own fingerprint. Simulated times are excluded: two mounts
-    /// of the same flash image happen at different clocks but must land in
-    /// the same state.
+    /// the log region's pool, then the data region's (see
+    /// `BlockPool::fingerprint`).
     pub(crate) fn pool_fingerprint(&self) -> Vec<u64> {
-        // Keyed by device-global block index: local positions are a mount
-        // artifact, and retired blocks drop out of a remount entirely.
-        let mut out = Vec::new();
-        let mut free: Vec<u64> = self
-            .log_free
-            .iter()
-            .map(|&b| u64::from(self.log_blocks[b as usize].gbi))
-            .collect();
-        free.sort_unstable();
-        out.extend(free);
-        out.push(u64::MAX);
-        for a in &self.log_actives {
-            out.push(a.map_or(u64::MAX - 1, |b| u64::from(self.log_blocks[b as usize].gbi)));
-        }
-        out.push(u64::MAX);
-        let mut live: Vec<[u64; 3]> = self
-            .log_blocks
-            .iter()
-            .filter(|b| !b.retired)
-            .map(|b| {
-                [
-                    u64::from(b.gbi),
-                    u64::from(b.programmed_pages),
-                    u64::from(b.valid_count),
-                ]
-            })
-            .collect();
-        live.sort_unstable();
-        for b in live {
-            out.extend(b);
-        }
+        let mut out = self.log.fingerprint();
         out.push(u64::MAX);
         out.extend(self.data.pool_fingerprint());
         out
-    }
-
-    /// Takes a log block out of service: never allocated, never a victim.
-    fn retire_log_block(&mut self, local: u32) {
-        self.log_blocks[local as usize].retired = true;
-        if let Some(pos) = self.log_free.iter().position(|&f| f == local) {
-            self.log_free.swap_remove(pos);
-        }
-        for a in &mut self.log_actives {
-            if *a == Some(local) {
-                *a = None;
-            }
-        }
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -464,20 +329,6 @@ impl SectorLogFtl {
         self.seq
     }
 
-    /// Effective P/E of a log block: oxide-stress based under adaptive
-    /// erase, identical to the raw erase count otherwise.
-    fn log_block_pe(&self, local: u32) -> u32 {
-        let gbi = self.log_blocks[local as usize].gbi;
-        self.ssd
-            .device()
-            .effective_pe(self.ssd.geometry().block_addr(gbi))
-    }
-
-    /// With wear leveling on, trades the hottest erased log block for the
-    /// data region's coldest free block. The log pool churns orders of
-    /// magnitude faster than data blocks pinned under cold pages, so
-    /// without this cross-region exchange the handful of log blocks absorb
-    /// the device's whole erase budget on their own.
     /// Static wear leveling for the log region: a log block packed with
     /// valid cold sectors is never a profitable merge victim, so it can pin
     /// a lightly-worn block forever. When the fleet-wide effective-wear
@@ -488,165 +339,85 @@ impl SectorLogFtl {
         if !self.wear_leveling || self.reliability.end_of_life() || self.ssd.halted() {
             return issue;
         }
-        let mut max_pe = self
-            .data
-            .wear_spread(&self.ssd)
-            .map(|(_, hi)| hi)
-            .unwrap_or(0);
-        for (i, b) in self.log_blocks.iter().enumerate() {
-            if !b.retired {
-                max_pe = max_pe.max(self.log_block_pe(i as u32));
-            }
-        }
-        let cold = self
-            .log_blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                !b.retired
-                    && !self.log_actives.contains(&Some(*i as u32))
-                    && b.programmed_pages >= self.pages_per_block
-            })
-            .min_by_key(|(i, _)| self.log_block_pe(*i as u32))
-            .map(|(i, _)| i as u32);
-        let Some(victim) = cold else { return issue };
-        if max_pe.saturating_sub(self.log_block_pe(victim)) <= self.wear_delta {
+        let data_max = self.data.wear_spread(&self.ssd).map_or(0, |(_, hi)| hi);
+        let log_max = self.log.wear_spread(&self.ssd).map_or(0, |(_, hi)| hi);
+        let Some((victim, cold_pe)) = self.log.coldest_collectable(&self.ssd) else {
+            return issue;
+        };
+        if data_max.max(log_max).saturating_sub(cold_pe) <= self.wear_delta {
             return issue;
         }
         self.stats.wear_level_migrations += 1;
         self.merge_block(victim, issue).unwrap_or(issue)
     }
 
+    /// With wear leveling on, trades the hottest erased log block for the
+    /// data region's coldest free block. The log pool churns orders of
+    /// magnitude faster than data blocks pinned under cold pages, so
+    /// without this cross-region exchange the handful of log blocks absorb
+    /// the device's whole erase budget on their own.
     fn maybe_log_wear_swap(&mut self) {
         if !self.wear_leveling {
             return;
         }
-        let Some(pos) =
-            (0..self.log_free.len()).max_by_key(|&p| self.log_block_pe(self.log_free[p]))
-        else {
+        let Some(pos) = self.log.most_worn_free(&self.ssd) else {
             return;
         };
-        let local = self.log_free[pos];
-        let worn_gbi = self.log_blocks[local as usize].gbi;
+        let worn_gbi = self.log.free_gbi(pos);
         let Some(fresh_gbi) = self
             .data
             .swap_free_block(worn_gbi, self.wear_delta, &self.ssd)
         else {
             return;
         };
-        self.retire_log_block(local);
-        let chip = fresh_gbi / self.ssd.geometry().blocks_per_chip;
-        self.log_blocks.push(LogBlock::new(
-            fresh_gbi,
-            chip,
-            self.pages_per_block,
-            self.nsub,
-        ));
-        self.log_free.push((self.log_blocks.len() - 1) as u32);
+        self.log.donate(pos);
+        self.log.adopt(fresh_gbi);
         self.stats.wear_swaps += 1;
-    }
-
-    /// Whole log pages still appendable without a merge: room left in the
-    /// open log blocks plus every block in the log free pool.
-    fn allocatable_log_pages(&self) -> u64 {
-        let mut pages = self.log_free.len() as u64 * u64::from(self.pages_per_block);
-        for a in self.log_actives.iter().flatten() {
-            pages +=
-                u64::from(self.pages_per_block - self.log_blocks[*a as usize].programmed_pages);
-        }
-        pages
     }
 
     fn unmap_log(&mut self, lsn: u64) {
         if let Some(e) = self.log_map.remove(lsn) {
-            let blk = &mut self.log_blocks[e.block as usize];
-            let idx = (e.page * self.nsub + u32::from(e.slot)) as usize;
-            debug_assert!(blk.valid[idx]);
-            blk.valid[idx] = false;
-            blk.valid_count -= 1;
+            self.log
+                .invalidate(e.block, e.page * self.nsub + u32::from(e.slot));
         }
     }
 
-    /// Allocates the next whole log page, striped across chips.
-    fn alloc_log_page(&mut self) -> (u32, u32) {
-        let chips = self.log_actives.len();
-        for i in 0..chips {
-            let chip = (self.rr + i) % chips;
-            let usable = match self.log_actives[chip] {
-                Some(b) => self.log_blocks[b as usize].programmed_pages < self.pages_per_block,
-                None => false,
-            };
-            if !usable {
-                // With wear leveling, refills pick the chip's least-worn
-                // free log block so erase cycles spread across the region;
-                // otherwise the first pool entry (seed behavior).
-                let pick = if self.wear_leveling {
-                    self.log_free
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &b)| self.log_blocks[b as usize].chip as usize == chip)
-                        .min_by_key(|(_, &b)| (self.log_block_pe(b), b))
-                        .map(|(p, _)| p)
-                } else {
-                    self.log_free
-                        .iter()
-                        .position(|&b| self.log_blocks[b as usize].chip as usize == chip)
-                };
-                match pick {
-                    Some(p) => self.log_actives[chip] = Some(self.log_free.swap_remove(p)),
-                    None => continue,
-                }
-            }
-            let block = self.log_actives[chip].expect("just ensured");
-            let page = self.log_blocks[block as usize].programmed_pages;
-            let blk = &mut self.log_blocks[block as usize];
-            blk.programmed_pages += 1;
-            if blk.programmed_pages >= self.pages_per_block && blk.closed_seq == 0 {
-                blk.closed_seq = self.closed_seq_counter;
-                self.closed_seq_counter += 1;
-            }
-            self.rr = chip + 1;
-            return (block, page);
-        }
-        panic!("sector log: no free log block on any chip");
-    }
-
-    /// Appends up to `N_sub` sectors of one chunk into one log page. A
-    /// program that reports status fail is retried on the next log page.
+    /// Appends up to `N_sub` sectors of one chunk into one log page,
+    /// striped across chips. A program that reports status fail is retried
+    /// on the next log page.
     fn log_append(&mut self, group: &[(u64, bool)], issue: SimTime) -> SimTime {
         debug_assert!(!group.is_empty() && group.len() <= self.nsub as usize);
-        let mut now = self.ensure_log_space(issue);
+        let now = self.ensure_log_space(issue);
         let mut oobs: Vec<Option<Oob>> = vec![None; self.nsub as usize];
         for (slot, &(lsn, _)) in group.iter().enumerate() {
             let seq = self.next_seq();
             oobs[slot] = Some(Oob { lsn, seq });
         }
-        let (block, page, done) = loop {
-            if self.ssd.halted() {
-                // Power is off: with log GC fenced the free pool may be
-                // empty, so bail out before alloc_log_page can panic.
-                return now;
-            }
-            if self.allocatable_log_pages() == 0 {
-                // End of life: the log region has no appendable page left.
-                // Drop the append (old copies stay mapped) and latch the
-                // refusal so subsequent writes are dropped up front.
-                self.reliability.latch_end_of_life(&mut self.stats);
-                return now;
-            }
-            let (block, page) = self.alloc_log_page();
-            let gbi = self.log_blocks[block as usize].gbi;
-            let addr = self.ssd.geometry().block_addr(gbi).page(page);
-            match self.ssd.program_full(addr, &oobs, now) {
-                Ok(done) => break (block, page, done),
-                Err(f) if f.error == esp_nand::NandError::ProgramFailed => {
-                    self.stats.program_failures += 1;
-                    self.stats.write_retries += 1;
-                    now = f.at;
-                }
-                Err(f) => panic!("log page is clean: {f}"),
-            }
+        // With wear leveling, refills pick the chip's least-worn free log
+        // block so erase cycles spread across the region; otherwise the
+        // chip's first free block (seed behavior).
+        let refill = if self.wear_leveling {
+            Refill::LeastWornLowestIndex
+        } else {
+            Refill::FirstFree
         };
+        let (block, page, done) =
+            match self
+                .log
+                .program(&mut self.ssd, &oobs, &mut self.stats, refill, now)
+            {
+                Ok(landed) => landed,
+                Err(now) => {
+                    if !self.ssd.halted() {
+                        // End of life: the log region has no appendable
+                        // page left. Drop the append (old copies stay
+                        // mapped) and latch the refusal so subsequent
+                        // writes are dropped up front.
+                        self.reliability.latch_end_of_life(&mut self.stats);
+                    }
+                    return now;
+                }
+            };
         for (slot, &(lsn, _)) in group.iter().enumerate() {
             self.unmap_log(lsn);
             self.log_map.insert(
@@ -659,9 +430,7 @@ impl SectorLogFtl {
                     written_at: done,
                 },
             );
-            let blk = &mut self.log_blocks[block as usize];
-            blk.valid[(page * self.nsub) as usize + slot] = true;
-            blk.valid_count += 1;
+            self.log.mark_valid(block, page * self.nsub + slot as u32);
         }
         self.stats.flash_sectors_consumed += u64::from(SECTORS_PER_PAGE);
         let share = f64::from(SECTORS_PER_PAGE) / group.len() as f64;
@@ -675,14 +444,17 @@ impl SectorLogFtl {
 
     fn ensure_log_space(&mut self, issue: SimTime) -> SimTime {
         let mut now = issue;
-        while !self.ssd.halted() && (self.log_free.len() as u32) < self.watermark {
+        while !self.ssd.halted() && self.log.free_blocks() < self.watermark {
             // A shrunken log region (retired bad blocks) may dip below the
             // watermark before any block has filled; merge what exists and
             // let the allocator keep appending to the open blocks.
-            if !self.has_log_victim() {
+            let Some(victim) = self
+                .log
+                .gc_victim(&self.ssd, self.gc_policy, self.wear_leveling)
+            else {
                 break;
-            }
-            match self.merge_victim(now) {
+            };
+            match self.merge_block(victim, now) {
                 Some(done) => now = done,
                 None => {
                     // The data region is exhausted, so the merge could not
@@ -696,63 +468,16 @@ impl SectorLogFtl {
         now
     }
 
-    fn has_log_victim(&self) -> bool {
-        self.log_blocks.iter().enumerate().any(|(i, b)| {
-            !b.retired
-                && !self.log_actives.contains(&Some(i as u32))
-                && b.programmed_pages >= self.pages_per_block
-        })
-    }
-
-    /// Picks a merge victim among full log blocks via the configured
-    /// [`GcPolicyKind`], with the wear-leveling slack re-rank composed on
-    /// top (see [`crate::select_victim`]).
-    fn pick_log_victim(&self) -> Option<u32> {
-        let subs_per_block = self.pages_per_block * self.nsub;
-        let candidates: Vec<VictimCandidate> = self
-            .log_blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                !b.retired
-                    && !self.log_actives.contains(&Some(*i as u32))
-                    && b.programmed_pages >= self.pages_per_block
-            })
-            .map(|(i, b)| VictimCandidate {
-                index: i as u32,
-                valid: b.valid_count,
-                capacity: subs_per_block,
-                age: self.closed_seq_counter.saturating_sub(b.closed_seq),
-                wear: if self.wear_leveling {
-                    self.log_block_pe(i as u32)
-                } else {
-                    0
-                },
-            })
-            .collect();
-        select_victim(
-            self.gc_policy,
-            SelectOpts::standard(self.wear_leveling),
-            &candidates,
-        )
-    }
-
     /// Log GC: full merge — every live sector of the victim (and every
     /// other live log copy of the same logical pages) is read-modify-
-    /// written back into the data region; the victim is erased. Returns
-    /// `None` when the data region was too exhausted to drain the victim
-    /// (the log copies stay where they are, nothing is erased).
-    fn merge_victim(&mut self, issue: SimTime) -> Option<SimTime> {
-        let victim = self.pick_log_victim().expect("sector log GC: no victim");
-        self.merge_block(victim, issue)
-    }
-
-    /// Merges one specific log block back into the data region. Shared by
-    /// normal log GC (profitable victim) and static wear leveling (coldest
-    /// parked block).
+    /// written back into the data region one logical page at a time; the
+    /// victim is erased. Shared by normal log GC and static wear leveling
+    /// (coldest parked block). Returns `None` when the data region was too
+    /// exhausted to drain the victim (the log copies stay where they are,
+    /// nothing is erased).
     fn merge_block(&mut self, victim: u32, issue: SimTime) -> Option<SimTime> {
         self.stats.gc_invocations += 1;
-        let valid = self.log_blocks[victim as usize].valid_count;
+        let valid = self.log.valid_count(victim);
         self.trace.emit(|| {
             TraceEvent::new(issue.as_nanos(), "gc.collect")
                 .tag("log_merge")
@@ -761,12 +486,10 @@ impl SectorLogFtl {
         });
         let mut now = issue;
         // Collect the victim's live sectors.
-        let gbi = self.log_blocks[victim as usize].gbi;
+        let gbi = self.log.gbi(victim);
         let mut lpns: Vec<u64> = Vec::new();
         for page in 0..self.pages_per_block {
-            let any = (0..self.nsub)
-                .any(|s| self.log_blocks[victim as usize].valid[(page * self.nsub + s) as usize]);
-            if !any {
+            if !self.log.page_has_valid(victim, page) {
                 continue;
             }
             let addr = self.ssd.geometry().block_addr(gbi).page(page);
@@ -777,7 +500,7 @@ impl SectorLogFtl {
                 return Some(now);
             }
             for (slot, r) in self.slots_scratch.iter().enumerate() {
-                if self.log_blocks[victim as usize].valid[(page * self.nsub) as usize + slot] {
+                if self.log.is_valid(victim, page * self.nsub + slot as u32) {
                     let oob = r.as_ref().expect("valid log sector must be readable");
                     lpns.push(oob.lsn / u64::from(SECTORS_PER_PAGE));
                 }
@@ -788,36 +511,21 @@ impl SectorLogFtl {
         for lpn in lpns {
             now = self.merge_lpn(lpn, now);
         }
-        if self.log_blocks[victim as usize].valid_count > 0 {
+        if self.log.valid_count(victim) > 0 {
             // The data region ran out of space mid-merge: the remaining
             // log entries are sole copies, so the victim must not be
             // erased. The caller degrades to end-of-life handling.
             return if self.ssd.halted() { Some(now) } else { None };
         }
-        let blk_addr = self.ssd.geometry().block_addr(gbi);
-        match self.ssd.erase(blk_addr, now) {
+        // An erase failure retires the block: all live sectors were merged
+        // into the data region above, so retiring it loses nothing.
+        match self.log.erase(victim, &mut self.ssd, &mut self.stats, now) {
             Ok(done) => {
-                now = done;
-                let b = &mut self.log_blocks[victim as usize];
-                b.valid.fill(false);
-                b.programmed_pages = 0;
-                b.closed_seq = 0;
-                self.log_free.push(victim);
                 self.maybe_log_wear_swap();
+                Some(done)
             }
-            Err(f) if f.error == esp_nand::NandError::EraseFailed => {
-                // Grown bad log block: all live sectors were merged into
-                // the data region above, so retiring it loses nothing.
-                now = f.at;
-                let b = &mut self.log_blocks[victim as usize];
-                b.valid.fill(false);
-                self.retire_log_block(victim);
-                self.stats.erase_failures += 1;
-                self.stats.blocks_retired += 1;
-            }
-            Err(f) => panic!("erase log block: {f}"),
+            Err(at) => Some(at),
         }
-        Some(now)
     }
 
     /// Full merge of one logical page: gather its sectors (live log copies
@@ -832,7 +540,7 @@ impl SectorLogFtl {
         for slot in 0..u64::from(SECTORS_PER_PAGE) {
             let lsn = lpn * page_sz + slot;
             if let Some(e) = self.log_map.get(lsn) {
-                let gbi = self.log_blocks[e.block as usize].gbi;
+                let gbi = self.log.gbi(e.block);
                 let addr = self
                     .ssd
                     .geometry()
@@ -941,6 +649,31 @@ impl SectorLogFtl {
         }
         done
     }
+
+    /// Asserts both regions' pool invariants (see
+    /// `BlockPool::check_invariants`) plus map/validity agreement: every
+    /// mapped page or log sector is valid and each region's mapped count
+    /// equals its pool's valid count. Intended for tests; panics on
+    /// violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.data.check_invariants();
+        self.log.check_invariants();
+        let mut mapped = 0u64;
+        for (lsn, e) in self.log_map.iter() {
+            assert!(
+                self.log
+                    .is_valid(e.block, e.page * self.nsub + u32::from(e.slot)),
+                "log sector {lsn} maps to an invalid subpage"
+            );
+            mapped += 1;
+        }
+        assert_eq!(
+            mapped,
+            self.log.valid_units(),
+            "log map and validity disagree"
+        );
+    }
 }
 
 impl Ftl for SectorLogFtl {
@@ -1025,7 +758,7 @@ impl Ftl for SectorLogFtl {
                     continue;
                 }
                 if let Some(e) = self.log_map.get(s) {
-                    let gbi = self.log_blocks[e.block as usize].gbi;
+                    let gbi = self.log.gbi(e.block);
                     let addr = self
                         .ssd
                         .geometry()
@@ -1151,11 +884,14 @@ impl Ftl for SectorLogFtl {
         let per_page = self.ssd.device().op_cost(OpKind::ReadFull).total()
             + self.ssd.device().op_cost(OpKind::ProgramFull).total();
         let erase = self.ssd.device().op_cost(OpKind::Erase).total();
-        while !self.ssd.halted() && (self.log_free.len() as u32) < self.watermark + 2 {
-            let Some(victim) = self.pick_log_victim() else {
+        while !self.ssd.halted() && self.log.free_blocks() < self.watermark + 2 {
+            let Some(victim) = self
+                .log
+                .gc_victim(&self.ssd, self.gc_policy, self.wear_leveling)
+            else {
                 break;
             };
-            let valid = self.log_blocks[victim as usize].valid_count;
+            let valid = self.log.valid_count(victim);
             if valid >= self.pages_per_block * self.nsub {
                 break; // nothing reclaimable
             }
@@ -1192,7 +928,7 @@ impl Ftl for SectorLogFtl {
             return None;
         }
         let state = if let Some(e) = self.log_map.peek(lsn) {
-            let gbi = self.log_blocks[e.block as usize].gbi;
+            let gbi = self.log.gbi(e.block);
             let addr = self
                 .ssd
                 .geometry()

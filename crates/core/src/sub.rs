@@ -26,6 +26,7 @@ use esp_sim::{merge_events, EventBuffer, SimDuration, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::erase_or_retire;
 use crate::buffer::{FlushChunk, WriteBuffer};
 use crate::config::{EvictionPolicy, FtlConfig};
 use crate::full_region::FullRegionEngine;
@@ -152,32 +153,17 @@ impl SubFtl {
     /// Panics if the configuration is invalid (see [`FtlConfig::validate`]).
     #[must_use]
     pub fn new(config: &FtlConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
-        let ssd = Ssd::with_planes(
-            config.geometry.clone(),
-            config.timing.clone(),
-            config.retention.clone(),
-            config.planes_per_chip,
-        );
-        Self::with_ssd(config, ssd)
+        Self::with_ssd(config, config.build_ssd())
     }
 
     /// Builds the FTL structures over an existing (possibly non-empty)
     /// device with the default region layout; mapping state starts empty —
     /// see [`SubFtl::recover`] for rebuilding it from flash contents.
     pub(crate) fn with_ssd(config: &FtlConfig, mut ssd: Ssd) -> Self {
-        if let Some(f) = &config.fault {
-            ssd.device_mut().set_faults(f.clone());
-        }
-        ssd.device_mut()
-            .set_retry_ladder(config.retry_ladder.clone());
-        ssd.device_mut().set_adaptive_erase(config.adaptive_erase);
+        config.arm_device(&mut ssd);
         let g = &config.geometry;
         let bpc = g.blocks_per_chip;
-        let sub_per_chip =
-            ((f64::from(bpc) * config.subpage_region_fraction).round() as u32).clamp(2, bpc - 1);
+        let sub_per_chip = config.hot_blocks_per_chip();
         let mut sub_gbis = Vec::new();
         let mut full_gbis = Vec::new();
         for chip in 0..g.chip_count() {
@@ -279,28 +265,15 @@ impl SubFtl {
     /// geometry, or the device's erased blocks cannot supply a GC reserve.
     #[must_use]
     pub fn recover(mut ssd: Ssd, config: &FtlConfig) -> Self {
-        config
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid FTL config: {e}"));
-        assert_eq!(
-            *ssd.geometry(),
-            config.geometry,
-            "recovery config geometry mismatch"
-        );
-        if let Some(f) = &config.fault {
-            ssd.device_mut().set_faults(f.clone());
-        }
-        ssd.device_mut()
-            .set_retry_ladder(config.retry_ladder.clone());
-        ssd.device_mut().set_adaptive_erase(config.adaptive_erase);
+        config.assert_mountable(&ssd);
+        config.arm_device(&mut ssd);
         use crate::recovery::{scan_device, ScannedKind};
         let scan = scan_device(&mut ssd);
         let torn_pages = scan.torn_pages;
         let scans = scan.blocks;
         let g = &config.geometry;
         let bpc = g.blocks_per_chip;
-        let sub_target =
-            ((f64::from(bpc) * config.subpage_region_fraction).round() as u32).clamp(2, bpc - 1);
+        let sub_target = config.hot_blocks_per_chip();
 
         // Deal blocks to regions chip by chip: scanned roles are fixed;
         // erased blocks fill the subpage region up to its share first.
@@ -590,7 +563,7 @@ impl SubFtl {
             return;
         }
         let gbi = self.blocks[victim as usize].gbi;
-        match self.ssd.erase(self.ssd.geometry().block_addr(gbi), now) {
+        match erase_or_retire(&mut self.ssd, gbi, &mut self.stats, now) {
             Ok(_) => {
                 let vblk = &mut self.blocks[victim as usize];
                 vblk.level = 0;
@@ -598,15 +571,12 @@ impl SubFtl {
                 vblk.page_valid.fill(None);
                 vblk.closed_seq = 0;
             }
-            Err(f) if f.error == esp_nand::NandError::EraseFailed => {
+            Err(_) => {
                 let vblk = &mut self.blocks[victim as usize];
                 vblk.retired = true;
                 vblk.page_valid.fill(None);
-                self.stats.erase_failures += 1;
-                self.stats.blocks_retired += 1;
                 self.replace_reserve();
             }
-            Err(f) => panic!("erase managed block: {f}"),
         }
     }
 
@@ -1188,7 +1158,7 @@ impl SubFtl {
             return now;
         }
         let gbi = self.blocks[victim as usize].gbi;
-        match self.ssd.erase(self.ssd.geometry().block_addr(gbi), now) {
+        match erase_or_retire(&mut self.ssd, gbi, &mut self.stats, now) {
             Ok(done) => {
                 now = done;
                 let vblk = &mut self.blocks[victim as usize];
@@ -1198,18 +1168,15 @@ impl SubFtl {
                 vblk.closed_seq = 0;
                 self.reserve = victim;
             }
-            Err(f) if f.error == esp_nand::NandError::EraseFailed => {
+            Err(at) => {
                 // The victim is a grown bad block: retire it and find a
                 // replacement reserve (live data was already moved out).
-                now = f.at;
+                now = at;
                 let vblk = &mut self.blocks[victim as usize];
                 vblk.retired = true;
                 vblk.page_valid.fill(None);
-                self.stats.erase_failures += 1;
-                self.stats.blocks_retired += 1;
                 self.replace_reserve();
             }
-            Err(f) => panic!("erase managed block: {f}"),
         }
         self.maybe_wear_swap();
         now
@@ -1630,7 +1597,7 @@ impl SubFtl {
                 return;
             }
             let gbi = self.blocks[victim as usize].gbi;
-            match self.ssd.erase(self.ssd.geometry().block_addr(gbi), now) {
+            match erase_or_retire(&mut self.ssd, gbi, &mut self.stats, now) {
                 Ok(done) => {
                     now = done;
                     let vblk = &mut self.blocks[victim as usize];
@@ -1640,13 +1607,11 @@ impl SubFtl {
                     vblk.closed_seq = 0;
                     self.stats.disturb_scrubs += 1;
                 }
-                Err(f) if f.error == esp_nand::NandError::EraseFailed => {
-                    now = f.at;
+                Err(at) => {
+                    now = at;
                     let vblk = &mut self.blocks[victim as usize];
                     vblk.retired = true;
                     vblk.page_valid.fill(None);
-                    self.stats.erase_failures += 1;
-                    self.stats.blocks_retired += 1;
                     for a in &mut self.actives {
                         if *a == Some(victim) {
                             *a = None;
@@ -1657,14 +1622,14 @@ impl SubFtl {
                     }
                     self.stats.disturb_scrubs += 1;
                 }
-                Err(f) => panic!("erase managed block: {f}"),
             }
         }
     }
 
     /// Asserts the subpage-region structural invariants (one valid subpage
-    /// per page, hash/bitmap agreement, erased reserve). Intended for tests;
-    /// panics on violation.
+    /// per page, hash/bitmap agreement, erased reserve) and the full-page
+    /// region's pool and map invariants. Intended for tests; panics on
+    /// violation.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         // At most one valid subpage per page, and hash/page_valid agree.
@@ -1690,6 +1655,7 @@ impl SubFtl {
             self.blocks[self.reserve as usize].is_erased(),
             "reserve must stay erased"
         );
+        self.full.check_invariants();
     }
 }
 

@@ -1,4 +1,4 @@
-//! Randomized property tests shared by all three FTLs, driven by the
+//! Randomized property tests shared by all four FTLs, driven by the
 //! deterministic `esp_sim::Rng` (every case reproducible from its seed).
 //!
 //! The central invariant: **whatever sequence of writes, syncs, reads and
@@ -8,7 +8,7 @@
 //! mapped, and its stored sequence number must never decrease between
 //! observation points (a decrease would mean a stale copy became visible).
 
-use esp_core::{CgmFtl, FgmFtl, Ftl, FtlConfig, SubFtl};
+use esp_core::{CgmFtl, FgmFtl, Ftl, FtlConfig, SectorLogFtl, SubFtl};
 use esp_sim::{Rng, SimTime};
 use std::collections::HashMap;
 
@@ -125,6 +125,16 @@ fn fgm_no_loss() {
         let mut rng = Rng::seed_from(0xF641 ^ seed);
         let ops = random_ops(&mut rng, 128, 119);
         check_ftl(FgmFtl::new(&FtlConfig::tiny()), &ops, seed);
+    }
+}
+
+/// sectorLogFTL never loses or regresses data.
+#[test]
+fn sector_log_no_loss() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from(0x5E41 ^ seed);
+        let ops = random_ops(&mut rng, 128, 119);
+        check_ftl(SectorLogFtl::new(&FtlConfig::tiny()), &ops, seed);
     }
 }
 

@@ -97,15 +97,15 @@ fn soak_subftl_with_mid_run_recovery() {
 
 #[test]
 fn soak_cgm() {
-    soak(CgmFtl::new(&cfg()), |_| {});
+    soak(CgmFtl::new(&cfg()), |f| f.check_invariants());
 }
 
 #[test]
 fn soak_fgm() {
-    soak(FgmFtl::new(&cfg()), |_| {});
+    soak(FgmFtl::new(&cfg()), |f| f.check_invariants());
 }
 
 #[test]
 fn soak_sector_log() {
-    soak(SectorLogFtl::new(&cfg()), |_| {});
+    soak(SectorLogFtl::new(&cfg()), |f| f.check_invariants());
 }

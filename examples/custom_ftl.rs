@@ -83,13 +83,15 @@ impl Ftl for AppendFtl {
                     seq: self.seq,
                 });
             }
-            done = done.max(self.engine.program_page(
-                lpn,
-                &oobs,
-                &mut self.ssd,
-                &mut self.stats,
-                issue,
-            ));
+            match self
+                .engine
+                .try_program_page(lpn, &oobs, &mut self.ssd, &mut self.stats, issue)
+            {
+                Ok(t) => done = done.max(t),
+                // Worn out: drop the write, as cgmFTL does; the page's old
+                // copy, if any, stays mapped.
+                Err(_) => continue,
+            }
             if small {
                 self.stats.small_waf_flash_sectors +=
                     f64::from(SECTORS_PER_PAGE) / (s_hi - s_lo) as f64;
