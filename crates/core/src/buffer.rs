@@ -1,7 +1,10 @@
-//! The DRAM write buffer shared by all three FTLs (paper §4.1: "subFTL puts
+//! The DRAM write buffer shared by all four FTLs (paper §4.1: "subFTL puts
 //! [writes] into a write buffer to merge several small writes with
 //! consecutive logical block addresses into one sequential write"; the FGM
-//! scheme is defined around the same buffer in §1).
+//! scheme is defined around the same buffer in §1), and the write-back
+//! front end ([`FrontEnd`]) that drives it: every FTL's `write`, `flush`
+//! and read admission run through this one copy, and each FTL supplies only
+//! its placement rule.
 //!
 //! Overwrites of buffered sectors are absorbed in DRAM. Synchronous writes
 //! force their sectors (together with any buffered neighbors that form a
@@ -18,6 +21,13 @@
 //! and the flush path allocates nothing per sector. The run list is kept
 //! sorted, disjoint, and maximal (no two runs touch), so every operation
 //! can binary-search by start/end.
+
+use esp_sim::SimTime;
+use esp_ssd::Ssd;
+use esp_workload::SECTORS_PER_PAGE;
+
+use crate::read_path::ReadReliability;
+use crate::stats::FtlStats;
 
 /// A contiguous run of dirty sectors leaving the buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,6 +283,90 @@ impl WriteBuffer {
         let taken: u32 = self.runs[i..j].iter().map(FlushChunk::sectors).sum();
         self.len -= taken as usize;
         out.extend(self.runs.drain(i..j));
+    }
+}
+
+/// The parts of an FTL the write-back front end drives.
+pub(crate) struct Front<'a> {
+    pub(crate) ssd: &'a Ssd,
+    pub(crate) buffer: &'a mut WriteBuffer,
+    /// Reused chunk list, so the flush cycle allocates nothing.
+    pub(crate) chunks: &'a mut Vec<FlushChunk>,
+    pub(crate) reliability: &'a mut ReadReliability,
+    pub(crate) stats: &'a mut FtlStats,
+    pub(crate) logical_sectors: u64,
+}
+
+/// The host-facing write path of every FTL: the capacity and failed-device
+/// gates, read-only and end-of-life refusal, host counters, DRAM buffering,
+/// and the flushes a write forces. An FTL supplies its parts and its
+/// placement rule; its `Ftl::write`, `Ftl::flush` and the top of
+/// `Ftl::read` call the provided methods.
+pub(crate) trait FrontEnd {
+    /// Borrows the parts the front end drives.
+    fn front(&mut self) -> Front<'_>;
+
+    /// Writes `chunks` out (draining the list) and returns when the last
+    /// program completes: the FTL's placement rule.
+    fn flush_chunks(&mut self, chunks: &mut Vec<FlushChunk>, issue: SimTime) -> SimTime;
+
+    /// `Ftl::write`: buffers the sectors, then forces out the runs a
+    /// synchronous write touches, or drains a full buffer. An asynchronous
+    /// write completes at `issue`, whatever flushing it caused.
+    fn write_back(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime {
+        let f = self.front();
+        assert!(
+            lsn + u64::from(sectors) <= f.logical_sectors,
+            "write beyond logical capacity"
+        );
+        // A failed device executes nothing; the shard is inert.
+        if f.ssd.device_failed() || f.reliability.refuse_write(f.stats) {
+            return issue;
+        }
+        f.stats.host_write_requests += 1;
+        f.stats.host_write_sectors += u64::from(sectors);
+        let small = sectors < SECTORS_PER_PAGE;
+        if small {
+            f.stats.small_write_requests += 1;
+            f.stats.small_waf_host_sectors += u64::from(sectors);
+        }
+        f.buffer.insert(lsn, sectors, small);
+        if !sync {
+            if f.buffer.is_full() {
+                self.flush_buffer(issue);
+            }
+            return issue;
+        }
+        let mut chunks = std::mem::take(f.chunks);
+        f.buffer.take_overlapping_into(lsn, sectors, &mut chunks);
+        let done = self.flush_chunks(&mut chunks, issue);
+        *self.front().chunks = chunks;
+        done
+    }
+
+    /// `Ftl::flush`: drains the whole buffer to flash.
+    fn flush_buffer(&mut self, issue: SimTime) -> SimTime {
+        let f = self.front();
+        if f.ssd.device_failed() {
+            return issue;
+        }
+        let mut chunks = std::mem::take(f.chunks);
+        f.buffer.drain_all_into(&mut chunks);
+        let done = self.flush_chunks(&mut chunks, issue);
+        *self.front().chunks = chunks;
+        done
+    }
+
+    /// The top of `Ftl::read`: counts the request, or returns `false` when
+    /// the device has failed and the read must complete at its issue time.
+    fn admit_read(&mut self, sectors: u32) -> bool {
+        let f = self.front();
+        if f.ssd.device_failed() {
+            return false;
+        }
+        f.stats.host_read_requests += 1;
+        f.stats.host_read_sectors += u64::from(sectors);
+        true
     }
 }
 

@@ -11,11 +11,11 @@ use esp_sim::{merge_events, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
-use crate::buffer::{FlushChunk, WriteBuffer};
+use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
 use crate::config::FtlConfig;
 use crate::full_region::FullRegionEngine;
 use crate::map_cache::{MapCache, MapCacheStats};
-use crate::read_path::{read_sectors_coarse, ReadReliability};
+use crate::read_path::{self, read_sectors_coarse, ReadReliability};
 use crate::runner::Ftl;
 use crate::stats::FtlStats;
 
@@ -199,6 +199,19 @@ impl CgmFtl {
         self.seq += 1;
         self.seq
     }
+}
+
+impl FrontEnd for CgmFtl {
+    fn front(&mut self) -> Front<'_> {
+        Front {
+            ssd: &self.ssd,
+            buffer: &mut self.buffer,
+            chunks: &mut self.chunks_scratch,
+            reliability: &mut self.reliability,
+            stats: &mut self.stats,
+            logical_sectors: self.logical_sectors,
+        }
+    }
 
     /// Writes the chunks out, page by page, RMW-merging partial pages.
     fn flush_chunks(&mut self, chunks: &mut Vec<FlushChunk>, issue: SimTime) -> SimTime {
@@ -301,48 +314,13 @@ impl Ftl for CgmFtl {
     }
 
     fn write(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime {
-        assert!(
-            lsn + u64::from(sectors) <= self.logical_sectors,
-            "write beyond logical capacity"
-        );
-        if self.ssd.device_failed() {
-            // A failed device executes nothing; the shard is inert.
-            return issue;
-        }
-        if self.reliability.refuse_write(&mut self.stats) {
-            return issue;
-        }
-        self.stats.host_write_requests += 1;
-        self.stats.host_write_sectors += u64::from(sectors);
-        let small = sectors < SECTORS_PER_PAGE;
-        if small {
-            self.stats.small_write_requests += 1;
-            self.stats.small_waf_host_sectors += u64::from(sectors);
-        }
-        self.buffer.insert(lsn, sectors, small);
-        if sync {
-            let mut chunks = std::mem::take(&mut self.chunks_scratch);
-            self.buffer.take_overlapping_into(lsn, sectors, &mut chunks);
-            let done = self.flush_chunks(&mut chunks, issue);
-            self.chunks_scratch = chunks;
-            done
-        } else if self.buffer.is_full() {
-            let mut chunks = std::mem::take(&mut self.chunks_scratch);
-            self.buffer.drain_all_into(&mut chunks);
-            self.flush_chunks(&mut chunks, issue);
-            self.chunks_scratch = chunks;
-            issue
-        } else {
-            issue
-        }
+        self.write_back(lsn, sectors, sync, issue)
     }
 
     fn read(&mut self, lsn: u64, sectors: u32, issue: SimTime) -> SimTime {
-        if self.ssd.device_failed() {
+        if !self.admit_read(sectors) {
             return issue;
         }
-        self.stats.host_read_requests += 1;
-        self.stats.host_read_sectors += u64::from(sectors);
         let mut issue = issue;
         if let Some(cache) = self.map_cache.as_mut() {
             let page = u64::from(SECTORS_PER_PAGE);
@@ -351,7 +329,6 @@ impl Ftl for CgmFtl {
                 issue = cache.access(lpn, false, issue);
             }
         }
-        let mut reclaim = Vec::new();
         let CgmFtl {
             ssd,
             engine,
@@ -361,24 +338,20 @@ impl Ftl for CgmFtl {
             slots_scratch,
             ..
         } = self;
-        let (mut done, faulted) = read_sectors_coarse(
+        let (mut done, reclaim) = read_sectors_coarse(
             lsn,
             sectors,
             issue,
             ssd,
             engine,
+            None,
             buffer,
             stats,
             reliability,
-            &mut reclaim,
             slots_scratch,
         );
-        self.reliability.note_host_read(faulted, &mut self.stats);
-        for lpn in reclaim {
-            done = done.max(
-                self.engine
-                    .reclaim_page(lpn, &mut self.ssd, &mut self.stats, done),
-            );
+        for lpn in reclaim.pages {
+            done = done.max(engine.reclaim_page(lpn, ssd, stats, done));
         }
         done
     }
@@ -409,14 +382,7 @@ impl Ftl for CgmFtl {
     }
 
     fn flush(&mut self, issue: SimTime) -> SimTime {
-        if self.ssd.device_failed() {
-            return issue;
-        }
-        let mut chunks = std::mem::take(&mut self.chunks_scratch);
-        self.buffer.drain_all_into(&mut chunks);
-        let done = self.flush_chunks(&mut chunks, issue);
-        self.chunks_scratch = chunks;
-        done
+        self.flush_buffer(issue)
     }
 
     fn idle(&mut self, from: SimTime, until: SimTime) {
@@ -429,31 +395,13 @@ impl Ftl for CgmFtl {
     }
 
     fn stored_seq(&self, lsn: u64) -> Option<u64> {
-        if self.buffer.contains(lsn) {
-            return None;
-        }
-        let page = u64::from(SECTORS_PER_PAGE);
-        let ptr = self.engine.lookup(lsn / page)?;
-        let addr = self
-            .engine
-            .page_addr(ptr, &self.ssd)
-            .subpage((lsn % page) as u8);
-        match self.ssd.device().subpage_state(addr) {
-            esp_nand::SubpageState::Written(w) => w.oob.filter(|o| o.lsn == lsn).map(|o| o.seq),
-            _ => None,
-        }
+        let addr = self.engine.sector_addr(lsn, &self.ssd);
+        read_path::stored_seq(&self.buffer, &self.ssd, lsn, addr)
     }
 
     fn trim(&mut self, lsn: u64, sectors: u32) {
         self.buffer.discard(lsn, sectors);
-        let page = u64::from(SECTORS_PER_PAGE);
-        let (lo, hi) = (lsn, lsn + u64::from(sectors));
-        // Page-granularity map: only fully-covered pages can be unmapped.
-        let first_full = lo.div_ceil(page);
-        let last_full = hi / page;
-        for lpn in first_full..last_full {
-            self.engine.unmap(lpn);
-        }
+        self.engine.trim(lsn, sectors);
     }
 
     fn mapping_memory_bytes(&self) -> u64 {

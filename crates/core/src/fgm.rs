@@ -13,11 +13,11 @@ use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
 use crate::block_pool::{BlockPool, Refill};
-use crate::buffer::{FlushChunk, WriteBuffer};
+use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
 use crate::config::FtlConfig;
 use crate::gc_policy::GcPolicyKind;
 use crate::map_cache::{MapCache, MapCacheStats};
-use crate::read_path::{note_read_result, ReadReliability};
+use crate::read_path::{self, note_read_result, ReadReliability};
 use crate::runner::Ftl;
 use crate::stats::FtlStats;
 
@@ -452,6 +452,41 @@ impl FgmFtl {
         self.collect_block(cold, now)
     }
 
+    /// Asserts the pool invariants (see `BlockPool::check_invariants`)
+    /// plus map/validity agreement: every mapped sector's subpage is
+    /// valid and the mapped count equals the pool's valid count. Intended
+    /// for tests; panics on violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.pool.check_invariants();
+        let mut mapped = 0u64;
+        for (lsn, &packed) in self.l2p.iter().enumerate() {
+            if packed == NO_PTR {
+                continue;
+            }
+            let (b, p, slot) = self.unpack(packed);
+            assert!(
+                self.pool.is_valid(b, p * self.nsub + slot),
+                "sector {lsn} maps to an invalid subpage"
+            );
+            mapped += 1;
+        }
+        assert_eq!(mapped, self.pool.valid_units(), "l2p and validity disagree");
+    }
+}
+
+impl FrontEnd for FgmFtl {
+    fn front(&mut self) -> Front<'_> {
+        Front {
+            ssd: &self.ssd,
+            buffer: &mut self.buffer,
+            chunks: &mut self.chunks_scratch,
+            reliability: &mut self.reliability,
+            stats: &mut self.stats,
+            logical_sectors: self.logical_sectors,
+        }
+    }
+
     /// Writes flush chunks out. Following the paper's FGM definition, the
     /// write buffer merges "small writes with **consecutive logical block
     /// addresses** into one sequential write" (§4.1): each contiguous chunk
@@ -509,28 +544,6 @@ impl FgmFtl {
         }
         done
     }
-
-    /// Asserts the pool invariants (see `BlockPool::check_invariants`)
-    /// plus map/validity agreement: every mapped sector's subpage is
-    /// valid and the mapped count equals the pool's valid count. Intended
-    /// for tests; panics on violation.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.pool.check_invariants();
-        let mut mapped = 0u64;
-        for (lsn, &packed) in self.l2p.iter().enumerate() {
-            if packed == NO_PTR {
-                continue;
-            }
-            let (b, p, slot) = self.unpack(packed);
-            assert!(
-                self.pool.is_valid(b, p * self.nsub + slot),
-                "sector {lsn} maps to an invalid subpage"
-            );
-            mapped += 1;
-        }
-        assert_eq!(mapped, self.pool.valid_units(), "l2p and validity disagree");
-    }
 }
 
 impl Ftl for FgmFtl {
@@ -556,48 +569,13 @@ impl Ftl for FgmFtl {
     }
 
     fn write(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime {
-        assert!(
-            lsn + u64::from(sectors) <= self.logical_sectors,
-            "write beyond logical capacity"
-        );
-        if self.ssd.device_failed() {
-            // A failed device executes nothing; the shard is inert.
-            return issue;
-        }
-        if self.reliability.refuse_write(&mut self.stats) {
-            return issue;
-        }
-        self.stats.host_write_requests += 1;
-        self.stats.host_write_sectors += u64::from(sectors);
-        let small = sectors < SECTORS_PER_PAGE;
-        if small {
-            self.stats.small_write_requests += 1;
-            self.stats.small_waf_host_sectors += u64::from(sectors);
-        }
-        self.buffer.insert(lsn, sectors, small);
-        if sync {
-            let mut chunks = std::mem::take(&mut self.chunks_scratch);
-            self.buffer.take_overlapping_into(lsn, sectors, &mut chunks);
-            let done = self.flush_chunks(&mut chunks, issue);
-            self.chunks_scratch = chunks;
-            done
-        } else if self.buffer.is_full() {
-            let mut chunks = std::mem::take(&mut self.chunks_scratch);
-            self.buffer.drain_all_into(&mut chunks);
-            self.flush_chunks(&mut chunks, issue);
-            self.chunks_scratch = chunks;
-            issue
-        } else {
-            issue
-        }
+        self.write_back(lsn, sectors, sync, issue)
     }
 
     fn read(&mut self, lsn: u64, sectors: u32, issue: SimTime) -> SimTime {
-        if self.ssd.device_failed() {
+        if !self.admit_read(sectors) {
             return issue;
         }
-        self.stats.host_read_requests += 1;
-        self.stats.host_read_sectors += u64::from(sectors);
         // Group flash-resident sectors by physical page to batch reads.
         // The scratch is filled in ascending-lsn order and stable-sorted
         // by (block, page): iteration order decides the order reads hit
@@ -698,14 +676,7 @@ impl Ftl for FgmFtl {
     }
 
     fn flush(&mut self, issue: SimTime) -> SimTime {
-        if self.ssd.device_failed() {
-            return issue;
-        }
-        let mut chunks = std::mem::take(&mut self.chunks_scratch);
-        self.buffer.drain_all_into(&mut chunks);
-        let done = self.flush_chunks(&mut chunks, issue);
-        self.chunks_scratch = chunks;
-        done
+        self.flush_buffer(issue)
     }
 
     fn idle(&mut self, from: SimTime, until: SimTime) {
@@ -739,24 +710,13 @@ impl Ftl for FgmFtl {
     }
 
     fn stored_seq(&self, lsn: u64) -> Option<u64> {
-        if self.buffer.contains(lsn) {
-            return None;
-        }
         let packed = self.l2p[lsn as usize];
-        if packed == NO_PTR {
-            return None;
-        }
-        let (b, p, slot) = self.unpack(packed);
-        let addr = self
-            .ssd
-            .geometry()
-            .block_addr(self.pool.gbi(b))
-            .page(p)
-            .subpage(slot as u8);
-        match self.ssd.device().subpage_state(addr) {
-            esp_nand::SubpageState::Written(w) => w.oob.filter(|o| o.lsn == lsn).map(|o| o.seq),
-            _ => None,
-        }
+        let addr = (packed != NO_PTR).then(|| {
+            let (b, p, slot) = self.unpack(packed);
+            let block = self.ssd.geometry().block_addr(self.pool.gbi(b));
+            block.page(p).subpage(slot as u8)
+        });
+        read_path::stored_seq(&self.buffer, &self.ssd, lsn, addr)
     }
 
     fn trim(&mut self, lsn: u64, sectors: u32) {

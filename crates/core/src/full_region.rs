@@ -32,7 +32,7 @@
 //! host-facing policy (write buffering, RMW gathering, WAF attribution)
 //! stays in the owning FTL.
 
-use esp_nand::{Oob, PageAddr};
+use esp_nand::{Oob, PageAddr, SubpageAddr};
 use esp_sim::{EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
@@ -208,11 +208,27 @@ impl FullRegionEngine {
             .page(ptr.page)
     }
 
+    /// Device subpage holding sector `lsn` of its mapped page, if any.
+    pub(crate) fn sector_addr(&self, lsn: u64, ssd: &Ssd) -> Option<SubpageAddr> {
+        let page = u64::from(SECTORS_PER_PAGE);
+        let ptr = self.lookup(lsn / page)?;
+        Some(self.page_addr(ptr, ssd).subpage((lsn % page) as u8))
+    }
+
     /// Unmaps `lpn` (trim-style): the old physical page becomes garbage.
     pub fn unmap(&mut self, lpn: u64) {
         if let Some(ptr) = self.lookup(lpn) {
             self.pool.invalidate(ptr.block, ptr.page);
             self.l2p[lpn as usize] = NO_PTR;
+        }
+    }
+
+    /// Host trim over the page map: unmaps the pages `[lsn, lsn + sectors)`
+    /// covers completely; a partly covered page stays mapped.
+    pub(crate) fn trim(&mut self, lsn: u64, sectors: u32) {
+        let page = u64::from(SECTORS_PER_PAGE);
+        for lpn in lsn.div_ceil(page)..(lsn + u64::from(sectors)) / page {
+            self.unmap(lpn);
         }
     }
 

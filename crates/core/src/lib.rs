@@ -21,7 +21,7 @@
 //! from the flash spare areas, charging a mount-time scan), and reports its
 //! exact mapping-table memory ([`Ftl::mapping_memory_bytes`]).
 //!
-//! All three implement the [`Ftl`] trait and replay workloads through
+//! All four implement the [`Ftl`] trait and replay workloads through
 //! [`run_trace`], producing the IOPS / GC-invocation / WAF numbers the
 //! paper's figures report.
 //!

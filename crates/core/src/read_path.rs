@@ -3,10 +3,14 @@
 //! Reads are not the paper's focus ("there are no significant differences
 //! from conventional FTLs in handling reads", §4), but they must be correct
 //! and they must cost simulated time, since the evaluation benchmarks mix
-//! reads in. The helpers here serve reads from (in priority order) the DRAM
-//! write buffer, then the flash mapping supplied by the caller.
+//! reads in. One read serves cgm, subFTL and sector-log: it takes sectors
+//! from (in priority order) the DRAM write buffer, the caller's fine map
+//! if it has one, then the coarse page map. fgm reads its own per-sector
+//! map.
 
-use esp_nand::{Oob, ReadEffort, ReadFault, RetentionModel, RetryLadder};
+use esp_nand::{
+    Oob, ReadEffort, ReadFault, RetentionModel, RetryLadder, SubpageAddr, SubpageState,
+};
 use esp_sim::SimTime;
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
@@ -15,6 +19,7 @@ use crate::buffer::WriteBuffer;
 use crate::config::FtlConfig;
 use crate::full_region::FullRegionEngine;
 use crate::stats::FtlStats;
+use crate::sub_map::SubpageMap;
 
 /// Classifies a read result: benign misses (never-written data) are fine;
 /// destroyed/aged/injected data is a fault the FTL must never expose.
@@ -191,13 +196,32 @@ impl ReadReliability {
     }
 }
 
-/// Serves a host read over a coarse (page-granularity) map: buffer hits are
-/// free; mapped sectors are fetched per physical page (one full-page read
-/// when two or more sectors of the same page are needed, a subpage read
-/// otherwise). Returns `(completion time, any uncorrectable sector)`.
-///
-/// LPNs whose read needed reclaim-worthy ladder effort are appended to
-/// `reclaim` for the caller to relocate.
+/// A per-sector map consulted ahead of the coarse page map: subFTL's
+/// subpage-region hash table (§4.1–4.2) or sector-log's log map (§6).
+pub(crate) struct FineMap<'a> {
+    pub(crate) map: &'a mut SubpageMap,
+    /// Device block of an entry's region-local block index.
+    pub(crate) gbi: &'a dyn Fn(u32) -> u32,
+}
+
+/// Relocation work a host read asks for: the copies whose read needed
+/// reclaim-worthy ladder effort ([`ReadReliability::wants_reclaim`]).
+#[derive(Default)]
+pub(crate) struct Reclaims {
+    /// Logical pages read through the coarse map, ascending.
+    pub(crate) pages: Vec<u64>,
+    /// Sectors read through the fine map, ascending, with their data when
+    /// the read succeeded.
+    pub(crate) sectors: Vec<(u64, Option<Oob>)>,
+}
+
+/// Serves a host read: buffer hits are free; with a [`FineMap`], each
+/// sector it maps is read from there first (one subpage read, ascending);
+/// the rest of each logical page comes through the coarse map (one
+/// full-page read when two or more sectors of the page are needed, a
+/// subpage read otherwise). Every flash read issues at `issue`. Records
+/// the outcome with [`ReadReliability::note_host_read`] and returns the
+/// completion time plus the relocations the caller owes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn read_sectors_coarse(
     lsn: u64,
@@ -205,16 +229,17 @@ pub(crate) fn read_sectors_coarse(
     issue: SimTime,
     ssd: &mut Ssd,
     engine: &FullRegionEngine,
+    mut fine: Option<FineMap<'_>>,
     buffer: &WriteBuffer,
     stats: &mut FtlStats,
-    reliability: &ReadReliability,
-    reclaim: &mut Vec<u64>,
+    reliability: &mut ReadReliability,
     slots_scratch: &mut Vec<Result<Oob, ReadFault>>,
-) -> (SimTime, bool) {
+) -> (SimTime, Reclaims) {
     let page = u64::from(SECTORS_PER_PAGE);
     let (lo, hi) = (lsn, lsn + u64::from(sectors));
     let mut done = issue;
     let mut faulted = false;
+    let mut reclaim = Reclaims::default();
     let first_lpn = lo / page;
     let last_lpn = (hi - 1) / page;
     for lpn in first_lpn..=last_lpn {
@@ -225,10 +250,26 @@ pub(crate) fn read_sectors_coarse(
         let mut needed = [0u64; SECTORS_PER_PAGE as usize];
         let mut n = 0usize;
         for s in s_lo..s_hi {
-            if !buffer.contains(s) {
+            if buffer.contains(s) {
+                continue;
+            }
+            let entry = fine.as_mut().and_then(|f| f.map.get(s).map(|e| (e, f.gbi)));
+            let Some((e, gbi)) = entry else {
                 needed[n] = s;
                 n += 1;
+                continue;
+            };
+            let addr = ssd
+                .geometry()
+                .block_addr(gbi(e.block))
+                .page(e.page)
+                .subpage(e.slot);
+            let (r, effort, t) = ssd.read_subpage_graded(addr, issue);
+            faulted |= note_read_result(&r, s, stats);
+            if reliability.wants_reclaim(effort) {
+                reclaim.sectors.push((s, r.ok()));
             }
+            done = done.max(t);
         }
         if n == 0 {
             continue;
@@ -254,10 +295,29 @@ pub(crate) fn read_sectors_coarse(
             effort
         };
         if reliability.wants_reclaim(effort) {
-            reclaim.push(lpn);
+            reclaim.pages.push(lpn);
         }
     }
-    (done, faulted)
+    reliability.note_host_read(faulted, stats);
+    (done, reclaim)
+}
+
+/// `Ftl::stored_seq` once the FTL has located `lsn`'s flash copy at
+/// `addr`: `None` while a newer copy sits in the buffer, when the sector
+/// is unmapped, or when the subpage no longer holds it.
+pub(crate) fn stored_seq(
+    buffer: &WriteBuffer,
+    ssd: &Ssd,
+    lsn: u64,
+    addr: Option<SubpageAddr>,
+) -> Option<u64> {
+    if buffer.contains(lsn) {
+        return None;
+    }
+    match ssd.device().subpage_state(addr?) {
+        SubpageState::Written(w) => w.oob.filter(|o| o.lsn == lsn).map(|o| o.seq),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

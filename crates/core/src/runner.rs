@@ -234,10 +234,11 @@ impl Hazards {
 /// A flash translation layer: the host-facing write/read/flush interface
 /// plus statistics.
 ///
-/// All three of the paper's FTLs (`cgmFTL`, `fgmFTL`, `subFTL`) implement
-/// this trait; [`run_trace`] drives any of them over a workload.
+/// All four FTLs (the paper's `cgmFTL`, `fgmFTL` and `subFTL`, plus the
+/// §6 baseline `sectorLogFTL`) implement this trait; [`run_trace`] drives
+/// any of them over a workload.
 pub trait Ftl {
-    /// Short display name ("cgmFTL", "fgmFTL", "subFTL").
+    /// Short display name ("cgmFTL", "fgmFTL", "subFTL", "sectorLogFTL").
     fn name(&self) -> &'static str;
 
     /// Number of logical 4 KB sectors exported to the host.
@@ -407,85 +408,7 @@ impl FtlStats {
     /// instead of a u64 underflow panic/wraparound.
     #[must_use]
     pub fn minus(&self, earlier: &FtlStats) -> FtlStats {
-        FtlStats {
-            host_write_requests: self
-                .host_write_requests
-                .saturating_sub(earlier.host_write_requests),
-            host_write_sectors: self
-                .host_write_sectors
-                .saturating_sub(earlier.host_write_sectors),
-            host_read_requests: self
-                .host_read_requests
-                .saturating_sub(earlier.host_read_requests),
-            host_read_sectors: self
-                .host_read_sectors
-                .saturating_sub(earlier.host_read_sectors),
-            small_write_requests: self
-                .small_write_requests
-                .saturating_sub(earlier.small_write_requests),
-            flash_sectors_consumed: self
-                .flash_sectors_consumed
-                .saturating_sub(earlier.flash_sectors_consumed),
-            gc_flash_sectors: self
-                .gc_flash_sectors
-                .saturating_sub(earlier.gc_flash_sectors),
-            gc_invocations: self.gc_invocations.saturating_sub(earlier.gc_invocations),
-            gc_subpage_region: self
-                .gc_subpage_region
-                .saturating_sub(earlier.gc_subpage_region),
-            gc_copied_sectors: self
-                .gc_copied_sectors
-                .saturating_sub(earlier.gc_copied_sectors),
-            rmw_operations: self.rmw_operations.saturating_sub(earlier.rmw_operations),
-            lap_migrations: self.lap_migrations.saturating_sub(earlier.lap_migrations),
-            cold_evictions: self.cold_evictions.saturating_sub(earlier.cold_evictions),
-            retention_evictions: self
-                .retention_evictions
-                .saturating_sub(earlier.retention_evictions),
-            wear_swaps: self.wear_swaps.saturating_sub(earlier.wear_swaps),
-            wear_level_migrations: self
-                .wear_level_migrations
-                .saturating_sub(earlier.wear_level_migrations),
-            op_shrinks: self.op_shrinks.saturating_sub(earlier.op_shrinks),
-            end_of_life_trips: self
-                .end_of_life_trips
-                .saturating_sub(earlier.end_of_life_trips),
-            writes_dropped_end_of_life: self
-                .writes_dropped_end_of_life
-                .saturating_sub(earlier.writes_dropped_end_of_life),
-            read_faults: self.read_faults.saturating_sub(earlier.read_faults),
-            read_faults_destroyed: self
-                .read_faults_destroyed
-                .saturating_sub(earlier.read_faults_destroyed),
-            read_faults_retention: self
-                .read_faults_retention
-                .saturating_sub(earlier.read_faults_retention),
-            read_faults_torn: self
-                .read_faults_torn
-                .saturating_sub(earlier.read_faults_torn),
-            read_faults_injected: self
-                .read_faults_injected
-                .saturating_sub(earlier.read_faults_injected),
-            read_reclaims: self.read_reclaims.saturating_sub(earlier.read_reclaims),
-            disturb_scrubs: self.disturb_scrubs.saturating_sub(earlier.disturb_scrubs),
-            read_only_trips: self.read_only_trips.saturating_sub(earlier.read_only_trips),
-            writes_dropped_read_only: self
-                .writes_dropped_read_only
-                .saturating_sub(earlier.writes_dropped_read_only),
-            program_failures: self
-                .program_failures
-                .saturating_sub(earlier.program_failures),
-            erase_failures: self.erase_failures.saturating_sub(earlier.erase_failures),
-            blocks_retired: self.blocks_retired.saturating_sub(earlier.blocks_retired),
-            write_retries: self.write_retries.saturating_sub(earlier.write_retries),
-            torn_pages_quarantined: self
-                .torn_pages_quarantined
-                .saturating_sub(earlier.torn_pages_quarantined),
-            small_waf_flash_sectors: self.small_waf_flash_sectors - earlier.small_waf_flash_sectors,
-            small_waf_host_sectors: self
-                .small_waf_host_sectors
-                .saturating_sub(earlier.small_waf_host_sectors),
-        }
+        ftl_stats_fieldwise!(self, earlier, u64::saturating_sub, |x: f64, y: f64| x - y)
     }
 }
 
@@ -954,6 +877,28 @@ mod tests {
         assert_eq!(d.gc_invocations, 0);
         assert_eq!(d.read_faults, 0);
         assert_eq!(d.program_failures, 0);
+    }
+
+    #[test]
+    fn stats_minus_round_trips_every_field() {
+        // Every field distinct, so a field paired with the wrong one shows.
+        let n = std::cell::Cell::new(0u64);
+        let next = |_: u64, _: u64| {
+            n.set(n.get() + 1);
+            n.get()
+        };
+        let zero = FtlStats::new();
+        let a = ftl_stats_fieldwise!(zero, zero, next, |_: f64, _: f64| 12.5);
+        let b = ftl_stats_fieldwise!(zero, zero, next, |_: f64, _: f64| 3.25);
+        assert_eq!(format!("{:?}", a.plus(&b).minus(&b)), format!("{a:?}"));
+        // Out of order, every counter saturates to a zero delta.
+        let d = b.minus(&a.plus(&b));
+        assert_eq!(d.small_waf_flash_sectors, -12.5);
+        let counters_zero = FtlStats {
+            small_waf_flash_sectors: d.small_waf_flash_sectors,
+            ..FtlStats::new()
+        };
+        assert_eq!(format!("{d:?}"), format!("{counters_zero:?}"));
     }
 
     #[test]

@@ -15,17 +15,17 @@
 //! Implemented as a fourth [`Ftl`] so the paper's qualitative comparison
 //! becomes a measurable experiment (`related_sector_log`).
 
-use esp_nand::Oob;
+use esp_nand::{Oob, SubpageAddr};
 use esp_sim::{merge_events, EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
 use crate::block_pool::{BlockPool, Refill};
-use crate::buffer::{FlushChunk, WriteBuffer};
+use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
 use crate::config::FtlConfig;
 use crate::full_region::FullRegionEngine;
 use crate::gc_policy::GcPolicyKind;
-use crate::read_path::{note_read_result, ReadReliability};
+use crate::read_path::{self, note_read_result, read_sectors_coarse, FineMap, ReadReliability};
 use crate::runner::Ftl;
 use crate::stats::FtlStats;
 use crate::sub_map::{SubEntry, SubpageMap};
@@ -375,6 +375,12 @@ impl SectorLogFtl {
         self.stats.wear_swaps += 1;
     }
 
+    /// Device subpage of a log-map entry.
+    fn log_addr(&self, e: SubEntry) -> SubpageAddr {
+        let block = self.ssd.geometry().block_addr(self.log.gbi(e.block));
+        block.page(e.page).subpage(e.slot)
+    }
+
     fn unmap_log(&mut self, lsn: u64) {
         if let Some(e) = self.log_map.remove(lsn) {
             self.log
@@ -540,14 +546,7 @@ impl SectorLogFtl {
         for slot in 0..u64::from(SECTORS_PER_PAGE) {
             let lsn = lpn * page_sz + slot;
             if let Some(e) = self.log_map.get(lsn) {
-                let gbi = self.log.gbi(e.block);
-                let addr = self
-                    .ssd
-                    .geometry()
-                    .block_addr(gbi)
-                    .page(e.page)
-                    .subpage(e.slot);
-                let (r, t) = self.ssd.read_subpage(addr, now);
+                let (r, t) = self.ssd.read_subpage(self.log_addr(e), now);
                 now = t;
                 note_read_result(&r, lsn, &mut self.stats);
                 if let Ok(oob) = r {
@@ -589,6 +588,44 @@ impl SectorLogFtl {
         self.stats.gc_copied_sectors += from_log;
         self.stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
         now
+    }
+
+    /// Asserts both regions' pool invariants (see
+    /// `BlockPool::check_invariants`) plus map/validity agreement: every
+    /// mapped page or log sector is valid and each region's mapped count
+    /// equals its pool's valid count. Intended for tests; panics on
+    /// violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.data.check_invariants();
+        self.log.check_invariants();
+        let mut mapped = 0u64;
+        for (lsn, e) in self.log_map.iter() {
+            assert!(
+                self.log
+                    .is_valid(e.block, e.page * self.nsub + u32::from(e.slot)),
+                "log sector {lsn} maps to an invalid subpage"
+            );
+            mapped += 1;
+        }
+        assert_eq!(
+            mapped,
+            self.log.valid_units(),
+            "log map and validity disagree"
+        );
+    }
+}
+
+impl FrontEnd for SectorLogFtl {
+    fn front(&mut self) -> Front<'_> {
+        Front {
+            ssd: &self.ssd,
+            buffer: &mut self.buffer,
+            chunks: &mut self.chunks_scratch,
+            reliability: &mut self.reliability,
+            stats: &mut self.stats,
+            logical_sectors: self.logical_sectors,
+        }
     }
 
     /// Flushes chunks: aligned 16 KB units go straight to the data region,
@@ -649,31 +686,6 @@ impl SectorLogFtl {
         }
         done
     }
-
-    /// Asserts both regions' pool invariants (see
-    /// `BlockPool::check_invariants`) plus map/validity agreement: every
-    /// mapped page or log sector is valid and each region's mapped count
-    /// equals its pool's valid count. Intended for tests; panics on
-    /// violation.
-    #[doc(hidden)]
-    pub fn check_invariants(&self) {
-        self.data.check_invariants();
-        self.log.check_invariants();
-        let mut mapped = 0u64;
-        for (lsn, e) in self.log_map.iter() {
-            assert!(
-                self.log
-                    .is_valid(e.block, e.page * self.nsub + u32::from(e.slot)),
-                "log sector {lsn} maps to an invalid subpage"
-            );
-            mapped += 1;
-        }
-        assert_eq!(
-            mapped,
-            self.log.valid_units(),
-            "log map and validity disagree"
-        );
-    }
 }
 
 impl Ftl for SectorLogFtl {
@@ -700,120 +712,53 @@ impl Ftl for SectorLogFtl {
     }
 
     fn write(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime {
-        assert!(
-            lsn + u64::from(sectors) <= self.logical_sectors,
-            "write beyond logical capacity"
-        );
-        if self.ssd.device_failed() {
-            // A failed device executes nothing; the shard is inert.
-            return issue;
-        }
-        if self.reliability.refuse_write(&mut self.stats) {
-            return issue;
-        }
-        self.stats.host_write_requests += 1;
-        self.stats.host_write_sectors += u64::from(sectors);
-        let small = sectors < SECTORS_PER_PAGE;
-        if small {
-            self.stats.small_write_requests += 1;
-            self.stats.small_waf_host_sectors += u64::from(sectors);
-        }
-        self.buffer.insert(lsn, sectors, small);
-        if sync {
-            let mut chunks = std::mem::take(&mut self.chunks_scratch);
-            self.buffer.take_overlapping_into(lsn, sectors, &mut chunks);
-            let done = self.flush_chunks(&mut chunks, issue);
-            self.chunks_scratch = chunks;
-            done
-        } else if self.buffer.is_full() {
-            let mut chunks = std::mem::take(&mut self.chunks_scratch);
-            self.buffer.drain_all_into(&mut chunks);
-            self.flush_chunks(&mut chunks, issue);
-            self.chunks_scratch = chunks;
-            issue
-        } else {
-            issue
-        }
+        self.write_back(lsn, sectors, sync, issue)
     }
 
     fn read(&mut self, lsn: u64, sectors: u32, issue: SimTime) -> SimTime {
-        if self.ssd.device_failed() {
+        if !self.admit_read(sectors) {
             return issue;
         }
-        self.stats.host_read_requests += 1;
-        self.stats.host_read_sectors += u64::from(sectors);
+        let SectorLogFtl {
+            ssd,
+            data,
+            log,
+            log_map,
+            buffer,
+            stats,
+            reliability,
+            slots_scratch,
+            ..
+        } = self;
+        let fine = FineMap {
+            map: log_map,
+            gbi: &|b| log.gbi(b),
+        };
+        let (mut done, reclaim) = read_sectors_coarse(
+            lsn,
+            sectors,
+            issue,
+            ssd,
+            data,
+            Some(fine),
+            buffer,
+            stats,
+            reliability,
+            slots_scratch,
+        );
+        // One relocation per logical page (the second element marks a
+        // costly log copy); a full merge handles both regions at once, and
+        // runs whether or not the log read succeeded.
         let page_sz = u64::from(SECTORS_PER_PAGE);
-        let (lo, hi) = (lsn, lsn + u64::from(sectors));
-        let mut done = issue;
-        let mut faulted = false;
-        // Logical pages whose read climbed past the reclaim threshold, and
-        // whether the costly copy lives in the log (second element true).
-        let mut reclaim: Vec<(u64, bool)> = Vec::new();
-        for lpn in lo / page_sz..=(hi - 1) / page_sz {
-            let s_lo = lo.max(lpn * page_sz);
-            let s_hi = hi.min((lpn + 1) * page_sz);
-            let mut from_data: Vec<u64> = Vec::new();
-            for s in s_lo..s_hi {
-                if self.buffer.contains(s) {
-                    continue;
-                }
-                if let Some(e) = self.log_map.get(s) {
-                    let gbi = self.log.gbi(e.block);
-                    let addr = self
-                        .ssd
-                        .geometry()
-                        .block_addr(gbi)
-                        .page(e.page)
-                        .subpage(e.slot);
-                    let (r, effort, t) = self.ssd.read_subpage_graded(addr, issue);
-                    faulted |= note_read_result(&r, s, &mut self.stats);
-                    if self.reliability.wants_reclaim(effort) {
-                        reclaim.push((lpn, true));
-                    }
-                    done = done.max(t);
-                } else {
-                    from_data.push(s);
-                }
-            }
-            if from_data.is_empty() {
-                continue;
-            }
-            let Some(ptr) = self.data.lookup(lpn) else {
-                continue;
-            };
-            let addr = self.data.page_addr(ptr, &self.ssd);
-            let effort = if from_data.len() >= 2 {
-                let (effort, t) =
-                    self.ssd
-                        .read_full_graded_into(addr, issue, &mut self.slots_scratch);
-                for s in from_data {
-                    faulted |= note_read_result(
-                        &self.slots_scratch[(s % page_sz) as usize],
-                        s,
-                        &mut self.stats,
-                    );
-                }
-                done = done.max(t);
-                effort
-            } else {
-                let s = from_data[0];
-                let (r, effort, t) = self
-                    .ssd
-                    .read_subpage_graded(addr.subpage((s % page_sz) as u8), issue);
-                faulted |= note_read_result(&r, s, &mut self.stats);
-                done = done.max(t);
-                effort
-            };
-            if self.reliability.wants_reclaim(effort) {
-                reclaim.push((lpn, false));
-            }
-        }
-        self.reliability.note_host_read(faulted, &mut self.stats);
-        // One relocation per logical page; if any costly copy was a log
-        // entry, a full merge handles both regions at once.
-        reclaim.sort_unstable_by_key(|&(lpn, via_log)| (lpn, !via_log));
-        reclaim.dedup_by_key(|e| e.0);
-        for (lpn, via_log) in reclaim {
+        let mut pages: Vec<(u64, bool)> = reclaim
+            .sectors
+            .iter()
+            .map(|&(s, _)| (s / page_sz, true))
+            .collect();
+        pages.extend(reclaim.pages.iter().map(|&lpn| (lpn, false)));
+        pages.sort_unstable_by_key(|&(lpn, via_log)| (lpn, !via_log));
+        pages.dedup_by_key(|e| e.0);
+        for (lpn, via_log) in pages {
             done = if via_log {
                 let at = done.as_nanos();
                 let t = self.merge_lpn(lpn, done);
@@ -857,14 +802,7 @@ impl Ftl for SectorLogFtl {
     }
 
     fn flush(&mut self, issue: SimTime) -> SimTime {
-        if self.ssd.device_failed() {
-            return issue;
-        }
-        let mut chunks = std::mem::take(&mut self.chunks_scratch);
-        self.buffer.drain_all_into(&mut chunks);
-        let done = self.flush_chunks(&mut chunks, issue);
-        self.chunks_scratch = chunks;
-        done
+        self.flush_buffer(issue)
     }
 
     fn idle(&mut self, from: SimTime, until: SimTime) {
@@ -911,12 +849,7 @@ impl Ftl for SectorLogFtl {
         for s in lsn..lsn + u64::from(sectors) {
             self.unmap_log(s);
         }
-        let page_sz = u64::from(SECTORS_PER_PAGE);
-        let first_full = lsn.div_ceil(page_sz);
-        let last_full = (lsn + u64::from(sectors)) / page_sz;
-        for lpn in first_full..last_full {
-            self.data.unmap(lpn);
-        }
+        self.data.trim(lsn, sectors);
     }
 
     fn mapping_memory_bytes(&self) -> u64 {
@@ -924,31 +857,11 @@ impl Ftl for SectorLogFtl {
     }
 
     fn stored_seq(&self, lsn: u64) -> Option<u64> {
-        if self.buffer.contains(lsn) {
-            return None;
-        }
-        let state = if let Some(e) = self.log_map.peek(lsn) {
-            let gbi = self.log.gbi(e.block);
-            let addr = self
-                .ssd
-                .geometry()
-                .block_addr(gbi)
-                .page(e.page)
-                .subpage(e.slot);
-            self.ssd.device().subpage_state(addr)
-        } else {
-            let page_sz = u64::from(SECTORS_PER_PAGE);
-            let ptr = self.data.lookup(lsn / page_sz)?;
-            let addr = self
-                .data
-                .page_addr(ptr, &self.ssd)
-                .subpage((lsn % page_sz) as u8);
-            self.ssd.device().subpage_state(addr)
+        let addr = match self.log_map.peek(lsn) {
+            Some(e) => Some(self.log_addr(e)),
+            None => self.data.sector_addr(lsn, &self.ssd),
         };
-        match state {
-            esp_nand::SubpageState::Written(w) => w.oob.filter(|o| o.lsn == lsn).map(|o| o.seq),
-            _ => None,
-        }
+        read_path::stored_seq(&self.buffer, &self.ssd, lsn, addr)
     }
 
     fn stats(&self) -> &FtlStats {

@@ -27,11 +27,11 @@ use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
 use crate::block_pool::erase_or_retire;
-use crate::buffer::{FlushChunk, WriteBuffer};
+use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
 use crate::config::{EvictionPolicy, FtlConfig};
 use crate::full_region::FullRegionEngine;
 use crate::gc_policy::{select_victim, GcPolicyKind, SelectOpts, VictimCandidate};
-use crate::read_path::{note_read_result, ReadReliability};
+use crate::read_path::{self, note_read_result, read_sectors_coarse, FineMap, ReadReliability};
 use crate::runner::Ftl;
 use crate::stats::FtlStats;
 use crate::sub_map::{SubEntry, SubpageMap};
@@ -191,38 +191,8 @@ impl SubFtl {
             .iter()
             .map(|&gbi| SubBlock::new(gbi, gbi / bpc, g.pages_per_block))
             .collect();
-        let chips = g.chip_count() as usize;
-        let mut ftl = SubFtl {
-            ssd,
-            full,
-            blocks,
-            actives: vec![None; chips],
-            rr: 0,
-            reserve: 0,
-            hash: SubpageMap::with_capacity(sub_gbis.len() * g.pages_per_block as usize),
-            buffer: WriteBuffer::new(config.write_buffer_sectors),
-            stats: FtlStats::new(),
-            seq: 0,
-            logical_sectors,
-            pages_per_block: g.pages_per_block,
-            nsub: g.subpages_per_page,
-            retention_threshold: config.retention_threshold,
-            scan_interval: config.retention_scan_interval,
-            last_scan: SimTime::ZERO,
-            wear_delta: config.wear_delta_threshold,
-            next_wear_check: 0,
-            gc_batch: config.subpage_gc_batch,
-            eviction: config.eviction_policy,
-            background_gc: config.background_gc,
-            gc_policy: config.gc_policy,
-            closed_seq_counter: 1,
-            crash_safe_mode: config.crash_safe_mode,
-            reliability: ReadReliability::new(config),
-            trace: EventBuffer::disabled(),
-            slots_scratch: Vec::new(),
-            oobs_scratch: Vec::new(),
-            chunks_scratch: Vec::new(),
-        };
+        let hash = SubpageMap::with_capacity(sub_gbis.len() * g.pages_per_block as usize);
+        let mut ftl = Self::from_parts(config, ssd, full, blocks, hash);
         // Exclude factory-marked and previously grown bad blocks from
         // whichever region owns them; the reserve must stay usable.
         for gbi in ftl.ssd.device().bad_block_indices() {
@@ -478,22 +448,40 @@ impl SubFtl {
             },
         };
 
-        let chips = g.chip_count() as usize;
-        let mut stats = FtlStats::new();
-        stats.blocks_retired = retired;
-        stats.torn_pages_quarantined = torn_pages;
-        let mut ftl = SubFtl {
+        let mut ftl = Self::from_parts(config, ssd, full, blocks, hash);
+        ftl.reserve = reserve;
+        ftl.seq = max_seq;
+        ftl.stats.blocks_retired = retired;
+        ftl.stats.torn_pages_quarantined = torn_pages;
+        if evacuate {
+            ftl.evacuate_reserve();
+        }
+        ftl
+    }
+
+    /// The one `SubFtl` literal: a fresh mount starts with the first
+    /// subpage-region block as GC reserve, zeroed counters and sequence
+    /// numbers; `recover` overwrites what it rebuilt from flash.
+    fn from_parts(
+        config: &FtlConfig,
+        ssd: Ssd,
+        full: FullRegionEngine,
+        blocks: Vec<SubBlock>,
+        hash: SubpageMap,
+    ) -> Self {
+        let g = &config.geometry;
+        SubFtl {
             ssd,
             full,
             blocks,
-            actives: vec![None; chips],
+            actives: vec![None; g.chip_count() as usize],
             rr: 0,
-            reserve,
+            reserve: 0,
             hash,
             buffer: WriteBuffer::new(config.write_buffer_sectors),
-            stats,
-            seq: max_seq,
-            logical_sectors,
+            stats: FtlStats::new(),
+            seq: 0,
+            logical_sectors: config.logical_sectors(),
             pages_per_block: g.pages_per_block,
             nsub: g.subpages_per_page,
             retention_threshold: config.retention_threshold,
@@ -512,11 +500,7 @@ impl SubFtl {
             slots_scratch: Vec::new(),
             oobs_scratch: Vec::new(),
             chunks_scratch: Vec::new(),
-        };
-        if evacuate {
-            ftl.evacuate_reserve();
         }
-        ftl
     }
 
     /// Finishes an interrupted GC at mount time: the adopted reserve block
@@ -542,41 +526,14 @@ impl SubFtl {
                 Err(_) => self.invalidate_sub(lsn),
             }
         }
-        // evict_to_full wants one logical page per batch.
-        items.sort_unstable_by_key(|&(lsn, _)| lsn);
-        let page_sz = u64::from(SECTORS_PER_PAGE);
-        let mut i = 0;
-        while i < items.len() {
-            let lpn = items[i].0 / page_sz;
-            let j = items[i..]
-                .iter()
-                .position(|(l, _)| l / page_sz != lpn)
-                .map_or(items.len(), |k| i + k);
-            now = self.evict_to_full(&items[i..j], now);
-            i = j;
-        }
-        if self.blocks[victim as usize].valid_count > 0 {
-            // The full-page region could not absorb every eviction (the
-            // device is near death): keep the survivors where they are and
-            // find a different reserve instead of erasing sole copies.
+        now = self.evict_by_page(&mut items, now);
+        // When the full-page region could not absorb every eviction (the
+        // device is near death), the survivors stay where they are and a
+        // different reserve is found instead of erasing sole copies.
+        if self.blocks[victim as usize].valid_count > 0
+            || self.erase_sub_block(victim, now).is_err()
+        {
             self.replace_reserve();
-            return;
-        }
-        let gbi = self.blocks[victim as usize].gbi;
-        match erase_or_retire(&mut self.ssd, gbi, &mut self.stats, now) {
-            Ok(_) => {
-                let vblk = &mut self.blocks[victim as usize];
-                vblk.level = 0;
-                vblk.cursor = 0;
-                vblk.page_valid.fill(None);
-                vblk.closed_seq = 0;
-            }
-            Err(_) => {
-                let vblk = &mut self.blocks[victim as usize];
-                vblk.retired = true;
-                vblk.page_valid.fill(None);
-                self.replace_reserve();
-            }
         }
     }
 
@@ -684,6 +641,60 @@ impl SubFtl {
         }
     }
 
+    /// In-service blocks that are neither the GC reserve nor open for
+    /// writes.
+    fn parked(&self) -> impl Iterator<Item = (u32, &SubBlock)> + '_ {
+        (0u32..)
+            .zip(&self.blocks)
+            .filter(|&(i, b)| !b.retired && i != self.reserve && !self.actives.contains(&Some(i)))
+    }
+
+    /// Parked blocks past their last lap: what subpage-region GC collects.
+    fn collectable(&self) -> impl Iterator<Item = (u32, &SubBlock)> + '_ {
+        self.parked()
+            .filter(|(_, b)| u32::from(b.level) == self.nsub)
+    }
+
+    /// Fewest valid subpages on a collectable block, if there is one.
+    fn min_collectable_valid(&self) -> Option<u32> {
+        self.collectable().map(|(_, b)| b.valid_count).min()
+    }
+
+    /// Erases a drained block through [`erase_or_retire`]: on success it
+    /// restarts at lap 0, on an erase failure it is retired (and stops
+    /// being its chip's open block). Returns the erase's outcome; the
+    /// caller settles the GC reserve.
+    fn erase_sub_block(&mut self, b: u32, now: SimTime) -> Result<SimTime, SimTime> {
+        let gbi = self.blocks[b as usize].gbi;
+        let erased = erase_or_retire(&mut self.ssd, gbi, &mut self.stats, now);
+        let blk = &mut self.blocks[b as usize];
+        blk.page_valid.fill(None);
+        if erased.is_ok() {
+            blk.level = 0;
+            blk.cursor = 0;
+            blk.closed_seq = 0;
+        } else {
+            blk.retired = true;
+            for a in &mut self.actives {
+                if *a == Some(b) {
+                    *a = None;
+                }
+            }
+        }
+        erased
+    }
+
+    /// Evicts subpage copies to the full-page region one logical page per
+    /// [`SubFtl::evict_to_full`] call, in ascending sector order.
+    fn evict_by_page(&mut self, items: &mut [(u64, Oob)], mut now: SimTime) -> SimTime {
+        let page = u64::from(SECTORS_PER_PAGE);
+        items.sort_unstable_by_key(|&(lsn, _)| lsn);
+        for group in items.chunk_by(|a, b| a.0 / page == b.0 / page) {
+            now = self.evict_to_full(group, now);
+        }
+        now
+    }
+
     /// Picks the next block to write on `chip`: lowest lap level first (so
     /// 0th subpages across all blocks fill before any 1st subpage — Fig 7),
     /// then fewest valid subpages (so lap advancement causes the fewest
@@ -752,11 +763,9 @@ impl SubFtl {
             if self.reliability.end_of_life() || !self.reserve_usable() {
                 return None;
             }
-            if !self.has_exhausted_block() {
-                // Nothing writable and nothing to collect: the region is
-                // wedged (end of life), degrade instead of panicking.
-                return None;
-            }
+            // Nothing writable and nothing to collect: the region is wedged
+            // (end of life), degrade instead of panicking.
+            self.collectable().next()?;
             let batch = if self.gc_batch == 0 {
                 self.blocks.len() as u32
             } else {
@@ -770,16 +779,18 @@ impl SubFtl {
             // entries go stale. At least one victim (the min-valid block)
             // is always collected so progress is guaranteed.
             let mut collected = 0u32;
-            while collected < batch && self.has_exhausted_block() && self.reserve_usable() {
-                let profitable = self.min_valid_exhausted() <= self.pages_per_block / 2;
-                if collected > 0 && !profitable {
+            while collected < batch && self.reserve_usable() {
+                let Some(min_valid) = self.min_collectable_valid() else {
+                    break;
+                };
+                if collected > 0 && min_valid > self.pages_per_block / 2 {
                     break;
                 }
                 now = self.sub_gc(now);
                 collected += 1;
             }
             if !self.any_writable() {
-                if self.has_exhausted_block() && self.reserve_usable() {
+                if self.collectable().next().is_some() && self.reserve_usable() {
                     now = self.sub_gc(now);
                 } else if collected == 0 {
                     // No progress is possible: every surviving block is
@@ -788,30 +799,6 @@ impl SubFtl {
                 }
             }
         }
-    }
-
-    fn min_valid_exhausted(&self) -> u32 {
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                !b.retired
-                    && *i as u32 != self.reserve
-                    && !self.actives.contains(&Some(*i as u32))
-                    && u32::from(b.level) == self.nsub
-            })
-            .map(|(_, b)| b.valid_count)
-            .min()
-            .unwrap_or(u32::MAX)
-    }
-
-    fn has_exhausted_block(&self) -> bool {
-        self.blocks.iter().enumerate().any(|(i, b)| {
-            !b.retired
-                && i as u32 != self.reserve
-                && !self.actives.contains(&Some(i as u32))
-                && u32::from(b.level) == self.nsub
-        })
     }
 
     /// Writes one sector into the subpage region (the loop of Fig 7:
@@ -979,17 +966,9 @@ impl SubFtl {
     fn pick_sub_victim(&self) -> Option<u32> {
         let wear_leveling = self.full.wear_leveling();
         let candidates: Vec<VictimCandidate> = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                !b.retired
-                    && *i as u32 != self.reserve
-                    && !self.actives.contains(&Some(*i as u32))
-                    && u32::from(b.level) == self.nsub
-            })
+            .collectable()
             .map(|(i, b)| VictimCandidate {
-                index: i as u32,
+                index: i,
                 valid: b.valid_count,
                 capacity: self.pages_per_block,
                 age: self.closed_seq_counter.saturating_sub(b.closed_seq),
@@ -1016,18 +995,11 @@ impl SubFtl {
     fn sub_gc(&mut self, issue: SimTime) -> SimTime {
         let victim = self.pick_sub_victim().unwrap_or_else(|| {
             // Fallback (GC forced while non-exhausted blocks remain,
-            // e.g. from tests): any non-reserve block with the fewest
-            // valid subpages.
-            self.blocks
-                .iter()
-                .enumerate()
-                .filter(|(i, b)| {
-                    !b.retired
-                        && *i as u32 != self.reserve
-                        && !self.actives.contains(&Some(*i as u32))
-                })
+            // e.g. from tests): any parked block with the fewest valid
+            // subpages.
+            self.parked()
                 .min_by_key(|(_, b)| b.valid_count)
-                .map(|(i, _)| i as u32)
+                .map(|(i, _)| i)
                 .expect("subpage region has no GC victim")
         });
         self.sub_gc_victim(victim, issue)
@@ -1112,16 +1084,10 @@ impl SubFtl {
                                 written_at: now,
                             },
                         );
-                        let pages = self.pages_per_block;
                         let rblk = &mut self.blocks[reserve as usize];
                         rblk.page_valid[rp as usize] = Some(lsn);
                         rblk.valid_count += 1;
-                        rblk.cursor += 1;
-                        if rblk.cursor == pages {
-                            rblk.level = 1;
-                            rblk.cursor = 0;
-                            self.note_closed(reserve);
-                        }
+                        self.advance_cursor(reserve);
                         self.stats.gc_copied_sectors += 1;
                         self.stats.gc_flash_sectors += 1;
                         self.stats.small_waf_flash_sectors += 1.0;
@@ -1133,14 +1099,7 @@ impl SubFtl {
                         self.stats.program_failures += 1;
                         self.stats.write_retries += 1;
                         now = f.at;
-                        let pages = self.pages_per_block;
-                        let rblk = &mut self.blocks[reserve as usize];
-                        rblk.cursor += 1;
-                        if rblk.cursor == pages {
-                            rblk.level = 1;
-                            rblk.cursor = 0;
-                            self.note_closed(reserve);
-                        }
+                        self.advance_cursor(reserve);
                         now = self.evict_to_full(&[(lsn, oob)], now);
                     }
                     Err(f) => panic!("reserve slot is erased: {f}"),
@@ -1157,24 +1116,15 @@ impl SubFtl {
             // be erased. Callers observe the end-of-life latch and stop.
             return now;
         }
-        let gbi = self.blocks[victim as usize].gbi;
-        match erase_or_retire(&mut self.ssd, gbi, &mut self.stats, now) {
+        match self.erase_sub_block(victim, now) {
             Ok(done) => {
                 now = done;
-                let vblk = &mut self.blocks[victim as usize];
-                vblk.level = 0;
-                vblk.cursor = 0;
-                vblk.page_valid.fill(None);
-                vblk.closed_seq = 0;
                 self.reserve = victim;
             }
             Err(at) => {
-                // The victim is a grown bad block: retire it and find a
-                // replacement reserve (live data was already moved out).
+                // The victim is a grown bad block: find a replacement
+                // reserve (live data was already moved out).
                 now = at;
-                let vblk = &mut self.blocks[victim as usize];
-                vblk.retired = true;
-                vblk.page_valid.fill(None);
                 self.replace_reserve();
             }
         }
@@ -1264,9 +1214,6 @@ impl SubFtl {
         now
     }
 
-    /// Swaps an over-worn erased subpage-region block with a fresh block
-    /// from the full-page region ("converting subpage blocks to full-page
-    /// ones ... can be done by swapping", §4.2).
     /// Static wear leveling for the subpage region: a block packed with
     /// valid, never-updated subpages is invisible to normal sub GC
     /// (min-valid victim picks never reach it), so cold data can pin a
@@ -1295,19 +1242,10 @@ impl SubFtl {
         for b in self.blocks.iter().filter(|b| !b.retired) {
             max_pe = max_pe.max(pe(b.gbi));
         }
-        let cold = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                !b.retired
-                    && *i as u32 != self.reserve
-                    && !self.actives.contains(&Some(*i as u32))
-                    && u32::from(b.level) == self.nsub
-            })
-            .min_by_key(|(_, b)| pe(b.gbi))
-            .map(|(i, _)| i as u32);
-        let Some(victim) = cold else { return issue };
+        let cold = self.collectable().min_by_key(|(_, b)| pe(b.gbi));
+        let Some((victim, _)) = cold else {
+            return issue;
+        };
         if max_pe.saturating_sub(pe(self.blocks[victim as usize].gbi)) <= self.wear_delta {
             return issue;
         }
@@ -1315,150 +1253,65 @@ impl SubFtl {
         self.sub_gc_victim(victim, issue)
     }
 
+    /// Swaps an over-worn erased subpage-region block with a fresh block
+    /// from the full-page region ("converting subpage blocks to full-page
+    /// ones ... can be done by swapping", §4.2).
     fn maybe_wear_swap(&mut self) {
-        if self.full.wear_leveling() {
-            // The freshly-erased GC victim becomes the reserve immediately,
-            // so an idle erased block is rare; with wear leveling on, the
-            // reserve itself is a swap candidate (it is erased by
-            // definition, and the fresh block takes over reserve duty).
-            // The exchange is transactional — the worn block enters the
-            // full-region pool in the same step the fresh one leaves — so
-            // it works even with the full region sitting at its GC
-            // watermark, which is where a steady churn keeps it.
-            let candidate = self
-                .blocks
-                .iter()
-                .enumerate()
-                .filter(|(i, b)| {
-                    !b.retired && !self.actives.contains(&Some(*i as u32)) && b.is_erased()
-                })
-                .max_by_key(|(_, b)| {
-                    self.ssd
-                        .device()
-                        .effective_pe(self.ssd.geometry().block_addr(b.gbi))
-                })
-                .map(|(i, _)| i as u32);
-            let Some(idx) = candidate else { return };
-            let worn_gbi = self.blocks[idx as usize].gbi;
-            let Some(fresh_gbi) = self
-                .full
-                .swap_free_block(worn_gbi, self.wear_delta, &self.ssd)
-            else {
-                return;
-            };
-            self.blocks[idx as usize].retired = true;
-            let chip = fresh_gbi / self.ssd.geometry().blocks_per_chip;
-            self.blocks
-                .push(SubBlock::new(fresh_gbi, chip, self.pages_per_block));
-            if idx == self.reserve {
-                self.reserve = (self.blocks.len() - 1) as u32;
-            }
-            self.stats.wear_swaps += 1;
-            return;
-        }
-        // Seed behavior (wear leveling off): only a spare erased block —
-        // never the reserve — is a candidate, and the exchange defers to
-        // the full region's watermark-guarded donation.
-        let Some(full_pe) = self.full.coldest_free_pe(&self.ssd) else {
-            return;
+        let wear_leveling = self.full.wear_leveling();
+        let pe = |gbi: u32| {
+            self.ssd
+                .device()
+                .effective_pe(self.ssd.geometry().block_addr(gbi))
         };
+        // The freshly-erased GC victim becomes the reserve immediately, so
+        // an idle erased block is rare; with wear leveling on, the reserve
+        // itself is a candidate (it is erased by definition, and the fresh
+        // block takes over reserve duty). With it off (seed behavior) only
+        // a spare erased block is.
         let candidate = self
             .blocks
             .iter()
             .enumerate()
             .filter(|(i, b)| {
+                let i = *i as u32;
                 !b.retired
-                    && *i as u32 != self.reserve
-                    && !self.actives.contains(&Some(*i as u32))
                     && b.is_erased()
+                    && !self.actives.contains(&Some(i))
+                    && (wear_leveling || i != self.reserve)
             })
-            .max_by_key(|(_, b)| {
-                self.ssd
-                    .device()
-                    .effective_pe(self.ssd.geometry().block_addr(b.gbi))
-            })
+            .max_by_key(|(_, b)| pe(b.gbi))
             .map(|(i, _)| i as u32);
         let Some(idx) = candidate else { return };
-        let sub_pe = self.ssd.device().effective_pe(
-            self.ssd
-                .geometry()
-                .block_addr(self.blocks[idx as usize].gbi),
-        );
-        if sub_pe <= full_pe + self.wear_delta {
-            return;
-        }
-        let Some(fresh_gbi) = self.full.donate_coldest_free_block(&self.ssd) else {
-            return;
-        };
         let worn_gbi = self.blocks[idx as usize].gbi;
+        let fresh_gbi = if wear_leveling {
+            // The exchange is transactional — the worn block enters the
+            // full-region pool in the same step the fresh one leaves — so
+            // it works even with the full region sitting at its GC
+            // watermark, which is where a steady churn keeps it.
+            self.full
+                .swap_free_block(worn_gbi, self.wear_delta, &self.ssd)
+        } else {
+            // Seed behavior: the exchange defers to the full region's
+            // watermark-guarded donation.
+            match self.full.coldest_free_pe(&self.ssd) {
+                Some(full_pe) if pe(worn_gbi) > full_pe + self.wear_delta => {
+                    self.full.donate_coldest_free_block(&self.ssd)
+                }
+                _ => None,
+            }
+        };
+        let Some(fresh_gbi) = fresh_gbi else { return };
         self.blocks[idx as usize].retired = true;
         let chip = fresh_gbi / self.ssd.geometry().blocks_per_chip;
         self.blocks
             .push(SubBlock::new(fresh_gbi, chip, self.pages_per_block));
-        self.full.adopt_free_block(worn_gbi);
-        self.stats.wear_swaps += 1;
-    }
-
-    /// ESP-aware data placement (§4.1): page-aligned 16 KB units of a flush
-    /// chunk go to the full-page region; the small head/tail residue and
-    /// chunks shorter than a page go to the subpage region.
-    fn flush_chunks(&mut self, chunks: &mut Vec<FlushChunk>, issue: SimTime) -> SimTime {
-        let page = u64::from(SECTORS_PER_PAGE);
-        let mut done = issue;
-        for chunk in chunks.drain(..) {
-            let (lo, hi) = (chunk.start_lsn, chunk.end_lsn());
-            let aligned_lo = lo.div_ceil(page) * page;
-            let aligned_hi = (hi / page) * page;
-            let origin = |lsn: u64| -> bool { chunk.origins[(lsn - chunk.start_lsn) as usize] };
-            if aligned_lo + page <= aligned_hi {
-                for lsn in lo..aligned_lo {
-                    done = done.max(self.write_sector_to_sub(lsn, origin(lsn), issue));
-                }
-                for lpn in aligned_lo / page..aligned_hi / page {
-                    self.oobs_scratch.clear();
-                    for slot in 0..u64::from(SECTORS_PER_PAGE) {
-                        let seq = self.next_seq();
-                        self.oobs_scratch.push(Some(Oob {
-                            lsn: lpn * page + slot,
-                            seq,
-                        }));
-                    }
-                    let t = match self.full.try_program_page(
-                        lpn,
-                        &self.oobs_scratch,
-                        &mut self.ssd,
-                        &mut self.stats,
-                        issue,
-                    ) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            // End of life: the flush has nowhere to land;
-                            // older copies (full or subpage) stay mapped.
-                            self.reliability.latch_end_of_life(&mut self.stats);
-                            continue;
-                        }
-                    };
-                    done = done.max(t);
-                    for slot in 0..page {
-                        let lsn = lpn * page + slot;
-                        // The full page now holds the newest copy.
-                        self.invalidate_sub(lsn);
-                        if origin(lsn) {
-                            self.stats.small_waf_flash_sectors += 1.0;
-                        }
-                    }
-                }
-                for lsn in aligned_hi..hi {
-                    done = done.max(self.write_sector_to_sub(lsn, origin(lsn), issue));
-                }
-            } else {
-                for lsn in lo..hi {
-                    done = done.max(self.write_sector_to_sub(lsn, origin(lsn), issue));
-                }
-            }
-            self.buffer.recycle(chunk);
+        if idx == self.reserve {
+            self.reserve = (self.blocks.len() - 1) as u32;
         }
-        done
+        if !wear_leveling {
+            self.full.adopt_free_block(worn_gbi);
+        }
+        self.stats.wear_swaps += 1;
     }
 
     /// Retention scrubbing (§4.3): evict subpages that have stayed in the
@@ -1547,8 +1400,7 @@ impl SubFtl {
                     .tag("disturb")
                     .field("block", u64::from(victim))
             });
-            // Evacuate live subpages, batched per logical page like
-            // `evacuate_reserve`.
+            // Evacuate live subpages, batched per logical page.
             let mut items: Vec<(u64, Oob)> = Vec::new();
             for page in 0..self.pages_per_block {
                 let Some(lsn) = self.blocks[victim as usize].page_valid[page as usize] else {
@@ -1575,18 +1427,7 @@ impl SubFtl {
                     }
                 }
             }
-            items.sort_unstable_by_key(|&(lsn, _)| lsn);
-            let page_sz = u64::from(SECTORS_PER_PAGE);
-            let mut i = 0;
-            while i < items.len() {
-                let lpn = items[i].0 / page_sz;
-                let j = items[i..]
-                    .iter()
-                    .position(|(l, _)| l / page_sz != lpn)
-                    .map_or(items.len(), |k| i + k);
-                now = self.evict_to_full(&items[i..j], now);
-                i = j;
-            }
+            now = self.evict_by_page(&mut items, now);
             if self.ssd.halted() {
                 return;
             }
@@ -1596,33 +1437,16 @@ impl SubFtl {
                 // rather than livelock on the same victim.
                 return;
             }
-            let gbi = self.blocks[victim as usize].gbi;
-            match erase_or_retire(&mut self.ssd, gbi, &mut self.stats, now) {
-                Ok(done) => {
-                    now = done;
-                    let vblk = &mut self.blocks[victim as usize];
-                    vblk.level = 0;
-                    vblk.cursor = 0;
-                    vblk.page_valid.fill(None);
-                    vblk.closed_seq = 0;
-                    self.stats.disturb_scrubs += 1;
-                }
+            now = match self.erase_sub_block(victim, now) {
+                Ok(done) => done,
                 Err(at) => {
-                    now = at;
-                    let vblk = &mut self.blocks[victim as usize];
-                    vblk.retired = true;
-                    vblk.page_valid.fill(None);
-                    for a in &mut self.actives {
-                        if *a == Some(victim) {
-                            *a = None;
-                        }
-                    }
                     if self.reserve == victim {
                         self.replace_reserve();
                     }
-                    self.stats.disturb_scrubs += 1;
+                    at
                 }
-            }
+            };
+            self.stats.disturb_scrubs += 1;
         }
     }
 
@@ -1659,6 +1483,81 @@ impl SubFtl {
     }
 }
 
+impl FrontEnd for SubFtl {
+    fn front(&mut self) -> Front<'_> {
+        Front {
+            ssd: &self.ssd,
+            buffer: &mut self.buffer,
+            chunks: &mut self.chunks_scratch,
+            reliability: &mut self.reliability,
+            stats: &mut self.stats,
+            logical_sectors: self.logical_sectors,
+        }
+    }
+
+    /// ESP-aware data placement (§4.1): page-aligned 16 KB units of a flush
+    /// chunk go to the full-page region; the small head/tail residue and
+    /// chunks shorter than a page go to the subpage region.
+    fn flush_chunks(&mut self, chunks: &mut Vec<FlushChunk>, issue: SimTime) -> SimTime {
+        let page = u64::from(SECTORS_PER_PAGE);
+        let mut done = issue;
+        for chunk in chunks.drain(..) {
+            let (lo, hi) = (chunk.start_lsn, chunk.end_lsn());
+            let aligned_lo = lo.div_ceil(page) * page;
+            let aligned_hi = (hi / page) * page;
+            let origin = |lsn: u64| -> bool { chunk.origins[(lsn - chunk.start_lsn) as usize] };
+            if aligned_lo + page <= aligned_hi {
+                for lsn in lo..aligned_lo {
+                    done = done.max(self.write_sector_to_sub(lsn, origin(lsn), issue));
+                }
+                for lpn in aligned_lo / page..aligned_hi / page {
+                    self.oobs_scratch.clear();
+                    for slot in 0..u64::from(SECTORS_PER_PAGE) {
+                        let seq = self.next_seq();
+                        self.oobs_scratch.push(Some(Oob {
+                            lsn: lpn * page + slot,
+                            seq,
+                        }));
+                    }
+                    let t = match self.full.try_program_page(
+                        lpn,
+                        &self.oobs_scratch,
+                        &mut self.ssd,
+                        &mut self.stats,
+                        issue,
+                    ) {
+                        Ok(t) => t,
+                        Err(_) => {
+                            // End of life: the flush has nowhere to land;
+                            // older copies (full or subpage) stay mapped.
+                            self.reliability.latch_end_of_life(&mut self.stats);
+                            continue;
+                        }
+                    };
+                    done = done.max(t);
+                    for slot in 0..page {
+                        let lsn = lpn * page + slot;
+                        // The full page now holds the newest copy.
+                        self.invalidate_sub(lsn);
+                        if origin(lsn) {
+                            self.stats.small_waf_flash_sectors += 1.0;
+                        }
+                    }
+                }
+                for lsn in aligned_hi..hi {
+                    done = done.max(self.write_sector_to_sub(lsn, origin(lsn), issue));
+                }
+            } else {
+                for lsn in lo..hi {
+                    done = done.max(self.write_sector_to_sub(lsn, origin(lsn), issue));
+                }
+            }
+            self.buffer.recycle(chunk);
+        }
+        done
+    }
+}
+
 impl Ftl for SubFtl {
     fn name(&self) -> &'static str {
         "subFTL"
@@ -1683,134 +1582,62 @@ impl Ftl for SubFtl {
     }
 
     fn write(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime {
-        assert!(
-            lsn + u64::from(sectors) <= self.logical_sectors,
-            "write beyond logical capacity"
-        );
-        if self.ssd.device_failed() {
-            // A failed device executes nothing; the shard is inert.
-            return issue;
-        }
-        if self.reliability.refuse_write(&mut self.stats) {
-            return issue;
-        }
-        self.stats.host_write_requests += 1;
-        self.stats.host_write_sectors += u64::from(sectors);
-        let small = sectors < SECTORS_PER_PAGE;
-        if small {
-            self.stats.small_write_requests += 1;
-            self.stats.small_waf_host_sectors += u64::from(sectors);
-        }
-        self.buffer.insert(lsn, sectors, small);
-        if sync {
-            let mut chunks = std::mem::take(&mut self.chunks_scratch);
-            self.buffer.take_overlapping_into(lsn, sectors, &mut chunks);
-            let done = self.flush_chunks(&mut chunks, issue);
-            self.chunks_scratch = chunks;
-            done
-        } else if self.buffer.is_full() {
-            let mut chunks = std::mem::take(&mut self.chunks_scratch);
-            self.buffer.drain_all_into(&mut chunks);
-            self.flush_chunks(&mut chunks, issue);
-            self.chunks_scratch = chunks;
-            issue
-        } else {
-            issue
-        }
+        self.write_back(lsn, sectors, sync, issue)
     }
 
     fn read(&mut self, lsn: u64, sectors: u32, issue: SimTime) -> SimTime {
-        if self.ssd.device_failed() {
+        if !self.admit_read(sectors) {
             return issue;
         }
-        self.stats.host_read_requests += 1;
-        self.stats.host_read_sectors += u64::from(sectors);
+        let SubFtl {
+            ssd,
+            full,
+            blocks,
+            hash,
+            buffer,
+            stats,
+            reliability,
+            slots_scratch,
+            ..
+        } = self;
+        let fine = FineMap {
+            map: hash,
+            gbi: &|b| blocks[b as usize].gbi,
+        };
+        let (mut done, reclaim) = read_sectors_coarse(
+            lsn,
+            sectors,
+            issue,
+            ssd,
+            full,
+            Some(fine),
+            buffer,
+            stats,
+            reliability,
+            slots_scratch,
+        );
+        // Subpage copies that read back are evicted to the full-page
+        // region, one logical page per batch; costly full pages are
+        // rewritten in place.
+        let mut evict: Vec<(u64, Oob)> = reclaim
+            .sectors
+            .into_iter()
+            .filter_map(|(s, oob)| Some((s, oob?)))
+            .collect();
+        evict.sort_unstable_by_key(|&(s, _)| s);
         let page = u64::from(SECTORS_PER_PAGE);
-        let mut done = issue;
-        let mut faulted = false;
-        // Relocation work queued by reclaim-worthy ladder efforts: subpage
-        // copies are evicted to the full-page region, full pages rewritten.
-        let mut sub_reclaim: Vec<(u64, Oob)> = Vec::new();
-        let mut full_reclaim: Vec<u64> = Vec::new();
-        let (lo, hi) = (lsn, lsn + u64::from(sectors));
-        for lpn in lo / page..=(hi - 1) / page {
-            let s_lo = lo.max(lpn * page);
-            let s_hi = hi.min((lpn + 1) * page);
-            let mut from_full: Vec<u64> = Vec::new();
-            for s in s_lo..s_hi {
-                if self.buffer.contains(s) {
-                    continue;
-                }
-                if let Some(e) = self.hash.get(s) {
-                    let addr = self.sub_addr(e.block, e.page, e.slot);
-                    let (r, effort, t) = self.ssd.read_subpage_graded(addr, issue);
-                    faulted |= note_read_result(&r, s, &mut self.stats);
-                    if self.reliability.wants_reclaim(effort) {
-                        if let Ok(oob) = r {
-                            sub_reclaim.push((s, oob));
-                        }
-                    }
-                    done = done.max(t);
-                } else {
-                    from_full.push(s);
-                }
-            }
-            if from_full.is_empty() {
-                continue;
-            }
-            let Some(ptr) = self.full.lookup(lpn) else {
-                continue;
-            };
-            let addr = self.full.page_addr(ptr, &self.ssd);
-            let effort = if from_full.len() >= 2 {
-                let (effort, t) =
-                    self.ssd
-                        .read_full_graded_into(addr, issue, &mut self.slots_scratch);
-                for s in from_full {
-                    faulted |= note_read_result(
-                        &self.slots_scratch[(s % page) as usize],
-                        s,
-                        &mut self.stats,
-                    );
-                }
-                done = done.max(t);
-                effort
-            } else {
-                let s = from_full[0];
-                let (r, effort, t) = self
-                    .ssd
-                    .read_subpage_graded(addr.subpage((s % page) as u8), issue);
-                faulted |= note_read_result(&r, s, &mut self.stats);
-                done = done.max(t);
-                effort
-            };
-            if self.reliability.wants_reclaim(effort) {
-                full_reclaim.push(lpn);
-            }
-        }
-        self.reliability.note_host_read(faulted, &mut self.stats);
-        // evict_to_full wants one logical page per batch.
-        sub_reclaim.sort_unstable_by_key(|&(s, _)| s);
-        let mut i = 0;
-        while i < sub_reclaim.len() {
-            let lpn = sub_reclaim[i].0 / page;
-            let j = sub_reclaim[i..]
-                .iter()
-                .position(|(s, _)| s / page != lpn)
-                .map_or(sub_reclaim.len(), |k| i + k);
-            self.stats.read_reclaims += (j - i) as u64;
-            let at = done.as_nanos();
-            let sectors = (j - i) as u64;
+        for group in evict.chunk_by(|a, b| a.0 / page == b.0 / page) {
+            self.stats.read_reclaims += group.len() as u64;
+            let (at, lpn, sectors) = (done.as_nanos(), group[0].0 / page, group.len() as u64);
             self.trace.emit(|| {
                 TraceEvent::new(at, "gc.reclaim")
                     .tag("read_reclaim")
                     .field("lpn", lpn)
                     .field("sectors", sectors)
             });
-            done = self.evict_to_full(&sub_reclaim[i..j], done);
-            i = j;
+            done = self.evict_to_full(group, done);
         }
-        for lpn in full_reclaim {
+        for lpn in reclaim.pages {
             done = done.max(
                 self.full
                     .reclaim_page(lpn, &mut self.ssd, &mut self.stats, done),
@@ -1820,14 +1647,7 @@ impl Ftl for SubFtl {
     }
 
     fn flush(&mut self, issue: SimTime) -> SimTime {
-        if self.ssd.device_failed() {
-            return issue;
-        }
-        let mut chunks = std::mem::take(&mut self.chunks_scratch);
-        self.buffer.drain_all_into(&mut chunks);
-        let done = self.flush_chunks(&mut chunks, issue);
-        self.chunks_scratch = chunks;
-        done
+        self.flush_buffer(issue)
     }
 
     fn maintain(&mut self, now: SimTime) {
@@ -1876,8 +1696,7 @@ impl Ftl for SubFtl {
             + self.ssd.device().op_cost(OpKind::ProgramSubpage).total()
             + self.ssd.device().op_cost(OpKind::ProgramFull).total();
         let erase = self.ssd.device().op_cost(OpKind::Erase).total();
-        while self.has_exhausted_block() {
-            let valid = self.min_valid_exhausted();
+        while let Some(valid) = self.min_collectable_valid() {
             if valid > self.pages_per_block / 2 {
                 break; // not profitable; let foreground batching decide
             }
@@ -1890,42 +1709,20 @@ impl Ftl for SubFtl {
     }
 
     fn stored_seq(&self, lsn: u64) -> Option<u64> {
-        if self.buffer.contains(lsn) {
-            return None;
-        }
-        let state = if let Some(e) = self.hash.peek(lsn) {
-            self.ssd
-                .device()
-                .subpage_state(self.sub_addr(e.block, e.page, e.slot))
-        } else {
-            let page = u64::from(SECTORS_PER_PAGE);
-            let ptr = self.full.lookup(lsn / page)?;
-            let addr = self
-                .full
-                .page_addr(ptr, &self.ssd)
-                .subpage((lsn % page) as u8);
-            self.ssd.device().subpage_state(addr)
+        let addr = match self.hash.peek(lsn) {
+            Some(e) => Some(self.sub_addr(e.block, e.page, e.slot)),
+            None => self.full.sector_addr(lsn, &self.ssd),
         };
-        match state {
-            esp_nand::SubpageState::Written(w) => w.oob.filter(|o| o.lsn == lsn).map(|o| o.seq),
-            _ => None,
-        }
+        read_path::stored_seq(&self.buffer, &self.ssd, lsn, addr)
     }
 
     fn trim(&mut self, lsn: u64, sectors: u32) {
         self.buffer.discard(lsn, sectors);
-        let page = u64::from(SECTORS_PER_PAGE);
-        let (lo, hi) = (lsn, lsn + u64::from(sectors));
         // Subpage-region copies can be dropped at sector granularity.
-        for s in lo..hi {
+        for s in lsn..lsn + u64::from(sectors) {
             self.invalidate_sub(s);
         }
-        // The coarse full-page map only drops fully-covered pages.
-        let first_full = lo.div_ceil(page);
-        let last_full = hi / page;
-        for lpn in first_full..last_full {
-            self.full.unmap(lpn);
-        }
+        self.full.trim(lsn, sectors);
     }
 
     fn mapping_memory_bytes(&self) -> u64 {

@@ -322,3 +322,46 @@ fn golden_map_cache() {
         ],
     ));
 }
+
+/// subFTL's subpage-map probe counters and live entry count after seeded
+/// runs. `run_json` carries neither, so a read or GC path that adds or
+/// skips a fine-map lookup moves no digest above; these numbers catch it.
+#[test]
+fn golden_subpage_map_probes() {
+    let cfg = base();
+    let hot = FtlConfig {
+        retention: RetentionModel::paper_default().with_read_disturb(1.5e-2),
+        retry_ladder: Some(RetryLadder::paper_default()),
+        reclaim_threshold: Some(2),
+        ..base()
+    };
+    let hot_trace = SyntheticConfig {
+        read_fraction: 0.9,
+        zipf_theta: 0.99,
+        ..trace_cfg(&hot, 6_000, 14)
+    };
+    let arms = [
+        (
+            "default",
+            cfg.clone(),
+            trace_cfg(&cfg, 3_000, 11),
+            [23888, 40183, 38, 127],
+        ),
+        ("hot_reads", hot, hot_trace, [17796, 14653, 20, 110]),
+    ];
+    for (name, cfg, trace, expect) in arms {
+        let mut ftl = SubFtl::new(&cfg);
+        run_trace_qd(&mut ftl, &generate(&trace), 4);
+        let p = ftl.subpage_map_probes();
+        let got = [
+            p.lookups,
+            p.extra_probes,
+            p.max_probe,
+            ftl.subpage_entries() as u64,
+        ];
+        assert_eq!(
+            got, expect,
+            "{name}: [lookups, extra_probes, max_probe, entries]"
+        );
+    }
+}

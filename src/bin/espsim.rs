@@ -545,7 +545,8 @@ fn print_map_cache(ftl: &dyn Ftl) {
 fn check_capacity(trace: &Trace, logical_sectors: u64) -> Result<(), Box<dyn Error>> {
     if trace.footprint_sectors > logical_sectors {
         return Err(format!(
-            "trace footprint ({} sectors) exceeds the device's logical              capacity ({logical_sectors} sectors); pick a larger --geometry",
+            "trace footprint ({} sectors) exceeds the device's logical \
+             capacity ({logical_sectors} sectors); pick a larger --geometry",
             trace.footprint_sectors,
         )
         .into());

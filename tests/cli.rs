@@ -179,6 +179,38 @@ fn bad_inputs_fail_with_messages() {
     let (ok, _, stderr) = espsim(&["replay", "--ftl", "sub"]);
     assert!(!ok);
     assert!(stderr.contains("--trace"));
+
+    let dir = std::env::temp_dir().join("espsim_cli_capacity");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wide.trace");
+    let trace = path.to_str().unwrap();
+    let (ok, _, stderr) = espsim(&[
+        "gen",
+        "--footprint",
+        "100000000",
+        "--requests",
+        "300",
+        "--out",
+        trace,
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let (ok, _, stderr) = espsim(&[
+        "replay",
+        "--ftl",
+        "cgm",
+        "--trace",
+        trace,
+        "--geometry",
+        "2x2x16x16",
+        "--op",
+        "0.4",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("logical capacity (2456 sectors)"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
