@@ -13,7 +13,7 @@
 //! Expected shape: IOPS at QD=32 is at least 3× IOPS at QD=1 for every FTL
 //! (asserted below — this is the PR's acceptance bar), and QD=1 numbers are
 //! byte-identical to the serial scheduler's (locked by the
-//! `qd1_matches_serial_reference` unit test in `esp-core`).
+//! `replay_matches_legacy_reference` unit test in `esp-core`).
 //!
 //! The `(kind, qd)` grid is embarrassingly parallel — each cell is an
 //! independent simulation — so the sweep fans out across host cores with

@@ -68,6 +68,8 @@ mod stats;
 mod sub;
 mod sub_map;
 mod tenant;
+#[cfg(test)]
+mod test_fixtures;
 
 pub use buffer::{FlushChunk, WriteBuffer};
 pub use cgm::CgmFtl;

@@ -21,28 +21,34 @@
 //! `tenant.rs`) vanish in the one-tenant, unlimited-rate case.
 //!
 //! The loop models an NCQ-style host: up to `queue_depth`
-//! requests are in flight at once, tracked as a min-heap of in-flight
-//! completion times. A request is admitted when the earliest in-flight
-//! request completes (out-of-order completion falls out naturally — each
-//! request's completion is independent), and its issue time is the
-//! latest of
+//! requests are in flight at once, one per queue slot, and the slots'
+//! completion times sit in an event calendar. A request is admitted when
+//! the earliest in-flight request completes (out-of-order completion
+//! falls out naturally — each request's completion is independent), and
+//! its issue time is the latest of
 //!
 //! 1. its **arrival** (the open arrival model: timestamps come from the
 //!    trace — fixed-spaced, bursty, Poisson via
 //!    `Trace::with_poisson_arrivals`, or trace-file supplied),
-//! 2. the **slot grant** (the heap's popped minimum — queue-depth
+//! 2. the **slot grant** (the calendar's popped minimum — queue-depth
 //!    back-pressure), and
-//! 3. its **data dependencies**: a read waits for the last overlapping
-//!    write to complete (read-after-write), and a write waits for the
-//!    last overlapping write *and* read (write-after-write,
+//! 3. its **data dependencies** on the requests still in flight: a read
+//!    waits for every overlapping write (read-after-write), and a write
+//!    waits for every overlapping write *and* read (write-after-write,
 //!    write-after-read). Overlapping reads run concurrently.
+//!
+//! Only the slots' current occupants need checking. Slot grants pop in
+//! non-decreasing order and no request completes before it issues, so a
+//! request that has left its slot completed at or before the grant being
+//! handed out now, which term 2 already covers.
 //!
 //! Independent requests therefore pipeline across channels and chips
 //! while same-LSN and RMW request chains still serialize correctly. At
-//! `queue_depth = 1` the heap degenerates to the classic closed loop:
-//! dependencies can never exceed the single slot's completion time, so
-//! QD=1 replays are bit-for-bit identical to a strictly serial host (the
-//! `qd1_matches_serial_reference` test locks this).
+//! `queue_depth = 1` the calendar degenerates to the classic closed loop:
+//! the one occupant completes exactly at the slot grant, so QD=1 replays
+//! are bit-for-bit identical to a strictly serial host. The
+//! `replay_matches_legacy_reference` test locks every depth against a
+//! per-sector-table reference.
 //!
 //! # What the latency histograms measure
 //!
@@ -62,8 +68,6 @@
 //! depths; use the response histogram for end-to-end latency under an
 //! offered load.
 
-use std::collections::HashMap;
-
 use esp_nand::DeviceStats;
 use esp_sim::{CalendarQueue, HdrHistogram, SimDuration, SimTime};
 use esp_ssd::Ssd;
@@ -71,165 +75,6 @@ use esp_workload::{IoOp, Trace};
 
 use crate::stats::{FtlStats, RunReport};
 use crate::tenant::{Drr, TenantConfig, TenantReport, TenantRunReport, TokenBucket};
-
-/// Footprints at or below this many sectors get flat `Vec<SimTime>`
-/// hazard tables (direct indexing, zero hashing, zero steady-state
-/// allocation); larger footprints fall back to pruned hash maps. 8 Mi
-/// sectors = 32 GiB of logical space = two 64 MiB tables.
-const FLAT_HAZARD_LIMIT: u64 = 1 << 23;
-
-/// Sparse hazard maps are pruned when their combined population exceeds
-/// this; the bound keeps long traces in `O(queue depth + working set)`
-/// memory instead of retaining every sector ever touched.
-const SPARSE_PRUNE_TRIGGER: usize = 8192;
-
-/// How [`replay`] tracks per-sector hazard completion times.
-/// Production callers always use `Auto`; tests pin the representation to
-/// prove the three are bit-identical.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HazardMode {
-    /// Flat tables when the trace footprint fits, pruned maps otherwise.
-    Auto,
-    /// Force flat `Vec<SimTime>` tables.
-    #[cfg_attr(not(test), allow(dead_code))]
-    Flat,
-    /// Force hash maps with watermark pruning.
-    #[cfg_attr(not(test), allow(dead_code))]
-    Sparse,
-    /// Force hash maps without pruning (the pre-fix behaviour: retains
-    /// every sector ever touched — test oracle only).
-    #[cfg_attr(not(test), allow(dead_code))]
-    SparseUnpruned,
-}
-
-/// Per-sector completion times of the last write and last read, for
-/// RAW / WAW / WAR serialization.
-///
-/// Entries are only written and point-queried (never iterated) in the
-/// flat representation; the sparse maps are iterated *only* during
-/// pruning, where the surviving set — not its discovery order — is all
-/// that matters, so replay stays deterministic.
-enum Hazards {
-    Flat {
-        write: Vec<SimTime>,
-        read: Vec<SimTime>,
-    },
-    Sparse {
-        write: HashMap<u64, SimTime>,
-        read: HashMap<u64, SimTime>,
-        prune: bool,
-    },
-}
-
-impl Hazards {
-    fn new(mode: HazardMode, footprint_sectors: u64) -> Self {
-        let flat = match mode {
-            HazardMode::Auto => footprint_sectors <= FLAT_HAZARD_LIMIT,
-            HazardMode::Flat => true,
-            HazardMode::Sparse | HazardMode::SparseUnpruned => false,
-        };
-        if flat {
-            let n = footprint_sectors as usize;
-            Hazards::Flat {
-                write: vec![SimTime::ZERO; n],
-                read: vec![SimTime::ZERO; n],
-            }
-        } else {
-            Hazards::Sparse {
-                write: HashMap::new(),
-                read: HashMap::new(),
-                prune: mode != HazardMode::SparseUnpruned,
-            }
-        }
-    }
-
-    /// Latest completion this request must wait for: the last write of
-    /// any of its sectors, plus — for writes — the last read
-    /// (write-after-read). Overlapping reads run concurrently.
-    fn dep(&self, lsn: u64, sectors: u32, is_write: bool) -> SimTime {
-        let range = lsn..lsn + u64::from(sectors);
-        let mut dep = SimTime::ZERO;
-        match self {
-            Hazards::Flat { write, read } => {
-                for s in range {
-                    dep = dep.max(write[s as usize]);
-                    if is_write {
-                        dep = dep.max(read[s as usize]);
-                    }
-                }
-            }
-            Hazards::Sparse { write, read, .. } => {
-                for s in range {
-                    if let Some(&t) = write.get(&s) {
-                        dep = dep.max(t);
-                    }
-                    if is_write {
-                        if let Some(&t) = read.get(&s) {
-                            dep = dep.max(t);
-                        }
-                    }
-                }
-            }
-        }
-        dep
-    }
-
-    /// Publishes a completed request's per-sector completion times. A
-    /// write overwrites (its buffered copy is the newest data); reads
-    /// accumulate the max, since concurrent reads complete in any order
-    /// and a later write must wait for the slowest.
-    fn publish(&mut self, lsn: u64, sectors: u32, is_write: bool, done: SimTime) {
-        let range = lsn..lsn + u64::from(sectors);
-        match self {
-            Hazards::Flat { write, read } => {
-                for s in range {
-                    if is_write {
-                        write[s as usize] = done;
-                    } else {
-                        let e = &mut read[s as usize];
-                        *e = (*e).max(done);
-                    }
-                }
-            }
-            Hazards::Sparse { write, read, .. } => {
-                for s in range {
-                    if is_write {
-                        write.insert(s, done);
-                    } else {
-                        let e = read.entry(s).or_insert(done);
-                        *e = (*e).max(done);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drops sparse entries that can no longer affect any future issue
-    /// time. Slot grants pop in non-decreasing order (each pop removes
-    /// the minimum and pushes a completion no earlier than it), so every
-    /// future request issues at or after `watermark` — the grant just
-    /// popped. An entry with `t <= watermark` is dominated by the
-    /// `max(slot grant, ...)` term forever and pruning it is exact; the
-    /// bit-identity test `hazard_representations_are_bit_identical`
-    /// locks this.
-    fn maybe_prune(&mut self, watermark: SimTime) {
-        if let Hazards::Sparse { write, read, prune } = self {
-            if *prune && write.len() + read.len() > SPARSE_PRUNE_TRIGGER {
-                write.retain(|_, &mut t| t > watermark);
-                read.retain(|_, &mut t| t > watermark);
-            }
-        }
-    }
-
-    /// Live entry count (sparse) or table capacity (flat); test-only.
-    #[cfg(test)]
-    fn population(&self) -> usize {
-        match self {
-            Hazards::Flat { write, .. } => write.len(),
-            Hazards::Sparse { write, read, .. } => write.len() + read.len(),
-        }
-    }
-}
 
 /// A flash translation layer: the host-facing write/read/flush interface
 /// plus statistics.
@@ -247,7 +92,8 @@ pub trait Ftl {
     /// Handles a host write of `sectors` sectors at `lsn`, issued at
     /// `issue`. Returns the completion time the host observes: for
     /// synchronous writes, when the data is durable; for asynchronous
-    /// writes, effectively `issue`.
+    /// writes, effectively `issue`. The completion is never earlier than
+    /// `issue`; the replay loop's dependency check relies on it.
     ///
     /// # Panics
     ///
@@ -255,7 +101,8 @@ pub trait Ftl {
     /// [`Ftl::logical_sectors`].
     fn write(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime;
 
-    /// Handles a host read, returning its completion time.
+    /// Handles a host read, returning its completion time, which is never
+    /// earlier than `issue` (see [`Ftl::write`]).
     fn read(&mut self, lsn: u64, sectors: u32, issue: SimTime) -> SimTime;
 
     /// Drains the write buffer to flash. Returns the completion time.
@@ -430,7 +277,7 @@ pub fn run_trace<F: Ftl + ?Sized>(ftl: &mut F, trace: &Trace) -> RunReport {
 /// threads overlap in flight and the device becomes throughput-bound
 /// rather than latency-bound).
 ///
-/// In-flight requests are a min-heap of completion times; a request is
+/// Each queue slot holds one in-flight request; a request is
 /// admitted when a queue slot frees and issues at
 /// `max(arrival, slot grant, data dependencies)` — see the module docs
 /// for the dependency rules. Completion is out of order: a request that
@@ -451,7 +298,13 @@ pub fn run_trace<F: Ftl + ?Sized>(ftl: &mut F, trace: &Trace) -> RunReport {
 ///
 /// Panics if `queue_depth` is zero.
 pub fn run_trace_qd<F: Ftl + ?Sized>(ftl: &mut F, trace: &Trace, queue_depth: usize) -> RunReport {
-    run_trace_qd_mode(ftl, trace, queue_depth, HazardMode::Auto)
+    let config = TenantConfig::new("");
+    let lane = Lane {
+        trace,
+        base_lsn: 0,
+        config: &config,
+    };
+    replay(ftl, &[lane], queue_depth).run
 }
 
 /// Snapshots the device's per-block wear distribution (effective P/E over
@@ -484,23 +337,6 @@ pub fn device_wear_summary(ssd: &Ssd, shallow_erases: u64) -> crate::stats::Wear
     }
 }
 
-/// [`run_trace_qd`] with the hazard representation pinned: `trace` is the
-/// one lane of [`replay`], at default QoS.
-pub(crate) fn run_trace_qd_mode<F: Ftl + ?Sized>(
-    ftl: &mut F,
-    trace: &Trace,
-    queue_depth: usize,
-    mode: HazardMode,
-) -> RunReport {
-    let config = TenantConfig::new("");
-    let lane = Lane {
-        trace,
-        base_lsn: 0,
-        config: &config,
-    };
-    replay(ftl, &[lane], queue_depth, mode).run
-}
-
 /// One tenant's borrowed input to [`replay`]: its trace, the first LSN of
 /// its slice of the logical space, and its QoS settings.
 pub(crate) struct Lane<'a> {
@@ -530,6 +366,25 @@ struct LaneState {
     /// time" would just accumulate the makespan.
     open: bool,
     row: TenantReport,
+}
+
+/// A queue slot's latest occupant: its sector range `[lsn, end)`, whether
+/// it writes, and the completion the host observes. The default is an
+/// empty range, which binds nothing.
+#[derive(Clone, Copy, Default)]
+struct InFlight {
+    lsn: u64,
+    end: u64,
+    is_write: bool,
+    done: SimTime,
+}
+
+impl InFlight {
+    /// Whether a request over `[lsn, end)` must wait for this one: the
+    /// ranges overlap and at least one of the two writes.
+    fn binds(&self, lsn: u64, end: u64, is_write: bool) -> bool {
+        (self.is_write | is_write) & (self.lsn < end) & (lsn < self.end)
+    }
 }
 
 /// The FTL and device counters at the start of a run, against which its
@@ -610,30 +465,25 @@ pub(crate) fn replay<F: Ftl + ?Sized>(
     ftl: &mut F,
     lanes: &[Lane<'_>],
     queue_depth: usize,
-    mode: HazardMode,
 ) -> TenantRunReport {
     assert!(queue_depth > 0, "queue_depth must be at least 1");
     let start = RunStart::take(ftl);
     let base = start.base;
 
     // The event calendar: one completion event per queue slot (`base` =
-    // free from the start). Popping the earliest completion grants that
-    // slot to the next request; pushing schedules the request's own
-    // completion. `clock` is the max completion granted so far — kept
-    // separately because the calendar only answers min queries. The
-    // calendar reuses its bucket storage, so the steady-state loop
-    // allocates nothing.
-    let mut slots: CalendarQueue<()> = CalendarQueue::new();
-    for _ in 0..queue_depth {
-        slots.push(base, ());
+    // free from the start), carrying the slot's index. Popping the
+    // earliest completion grants that slot to the next request; pushing
+    // schedules the request's own completion, and `in_flight` holds each
+    // slot's latest occupant. `clock` is the max completion granted so
+    // far — kept separately because the calendar only answers min
+    // queries. The calendar reuses its bucket storage, so the
+    // steady-state loop allocates nothing.
+    let mut slots: CalendarQueue<usize> = CalendarQueue::new();
+    for slot in 0..queue_depth {
+        slots.push(base, slot);
     }
+    let mut in_flight = vec![InFlight::default(); queue_depth];
     let mut clock = base;
-    let footprint = lanes
-        .iter()
-        .map(|l| l.base_lsn + l.trace.footprint_sectors)
-        .max()
-        .unwrap_or(0);
-    let mut hazards = Hazards::new(mode, footprint);
     let mut read_latency = HdrHistogram::new();
     let mut write_latency = HdrHistogram::new();
     let mut response_latency = HdrHistogram::new();
@@ -661,7 +511,7 @@ pub(crate) fn replay<F: Ftl + ?Sized>(
         // Admit on the earliest in-flight completion. If no head request
         // is eligible when the slot frees, the grant waits for the
         // earliest gate.
-        let (slot_free, ()) = slots.pop().expect("at least one slot");
+        let (slot_free, slot) = slots.pop().expect("at least one slot");
         let earliest = states
             .iter()
             .filter_map(|s| s.gate)
@@ -683,12 +533,17 @@ pub(crate) fn replay<F: Ftl + ?Sized>(
         state.bucket.consume(now);
         state.gate = lane.gate(state.next, &state.bucket, base);
 
-        // Hazards against earlier overlapping requests. At QD=1 every
-        // recorded completion is <= the popped slot time, so this never
-        // changes serial behaviour.
+        // Wait for the overlapping requests still in flight; every other
+        // earlier request completed by `slot_free` (module docs). The
+        // range comparisons are close to coin flips on random addresses,
+        // so branching on them mispredicts often: `binds` uses `&` rather
+        // than `&&`, and the max is selected without a branch.
         let lsn = lane.base_lsn + r.lsn;
+        let end = lsn + u64::from(r.sectors);
         let is_write = r.op == IoOp::Write;
-        let dep = hazards.dep(lsn, r.sectors, is_write);
+        let dep = in_flight.iter().fold(SimTime::ZERO, |dep, f| {
+            std::hint::select_unpredictable(f.binds(lsn, end, is_write), dep.max(f.done), dep)
+        });
         let issue = slot_free.max(gate).max(dep);
         if gate > clock {
             // Every in-flight request completed before the chosen request
@@ -702,6 +557,7 @@ pub(crate) fn replay<F: Ftl + ?Sized>(
         } else {
             ftl.read(lsn, r.sectors, issue)
         };
+        debug_assert!(done >= issue, "{} completed before it issued", ftl.name());
         let done = if is_write && !r.sync {
             // An async write completes in DRAM: the host sees it done at
             // issue, and it records no latency sample.
@@ -726,12 +582,16 @@ pub(crate) fn replay<F: Ftl + ?Sized>(
             done
         };
         state.row.sectors += u64::from(r.sectors);
-        // An async write publishes its host-visible completion (the
-        // buffered copy is readable immediately); sync writes publish
+        // An async write holds its slot until its host-visible completion
+        // (the buffered copy is readable immediately); sync writes until
         // durability.
-        hazards.publish(lsn, r.sectors, is_write, done);
-        hazards.maybe_prune(slot_free);
-        slots.push(done, ());
+        in_flight[slot] = InFlight {
+            lsn,
+            end,
+            is_write,
+            done,
+        };
+        slots.push(done, slot);
         clock = clock.max(done);
     }
 
@@ -770,8 +630,9 @@ pub fn precondition<F: Ftl + ?Sized>(ftl: &mut F, fill_fraction: f64) -> RunRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_fixtures::{all_ftls, mixed_trace, StubFtl};
     use crate::{FtlConfig, SubFtl};
-    use esp_workload::IoRequest;
+    use esp_workload::{IoRequest, SyntheticConfig};
 
     #[test]
     fn qd_one_serializes_sync_writes() {
@@ -919,80 +780,13 @@ mod tests {
         assert_eq!(r.stats.host_write_sectors, 0);
     }
 
-    /// Records every idle window the runner grants and the issue time of
-    /// every host call, to pin down the scheduling bookkeeping.
-    struct Probe {
-        ssd: Ssd,
-        stats: FtlStats,
-        busy: SimDuration,
-        idle_windows: Vec<(SimTime, SimTime)>,
-        calls: Vec<(IoOp, u64, SimTime)>,
-    }
-
-    impl Probe {
-        fn new(busy: SimDuration) -> Self {
-            Probe {
-                ssd: Ssd::new(esp_nand::Geometry::tiny()),
-                stats: FtlStats::new(),
-                busy,
-                idle_windows: Vec::new(),
-                calls: Vec::new(),
-            }
-        }
-
-        /// Issue time of the nth host call.
-        fn issue(&self, n: usize) -> SimTime {
-            self.calls[n].2
-        }
-    }
-
-    impl Ftl for Probe {
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-        fn logical_sectors(&self) -> u64 {
-            1 << 20
-        }
-        fn write(&mut self, lsn: u64, _sectors: u32, sync: bool, issue: SimTime) -> SimTime {
-            self.calls.push((IoOp::Write, lsn, issue));
-            if sync {
-                issue + self.busy
-            } else {
-                issue
-            }
-        }
-        fn read(&mut self, lsn: u64, _sectors: u32, issue: SimTime) -> SimTime {
-            self.calls.push((IoOp::Read, lsn, issue));
-            issue + self.busy
-        }
-        fn flush(&mut self, issue: SimTime) -> SimTime {
-            issue
-        }
-        fn idle(&mut self, from: SimTime, until: SimTime) {
-            self.idle_windows.push((from, until));
-        }
-        fn stored_seq(&self, _lsn: u64) -> Option<u64> {
-            None
-        }
-        fn trim(&mut self, _lsn: u64, _sectors: u32) {}
-        fn mapping_memory_bytes(&self) -> u64 {
-            0
-        }
-        fn stats(&self) -> &FtlStats {
-            &self.stats
-        }
-        fn ssd(&self) -> &Ssd {
-            &self.ssd
-        }
-    }
-
     #[test]
     fn idle_window_requires_all_threads_quiet() {
         // Thread 0 is busy 0..10s. A request arriving at 5s finds thread 1
         // free (its t_free = 0 < arrival) but thread 0 still busy: that gap
         // is NOT an idle window. A request at 20s — past every thread's
         // completion — is.
-        let mut p = Probe::new(SimDuration::from_secs(10));
+        let mut p = StubFtl::new(SimDuration::from_secs(10));
         let mut t = Trace::new(1 << 20);
         t.push(IoRequest::write(SimTime::ZERO, 0, 1, true)); // 0..10s on thread 0
         t.push(IoRequest::write(SimTime::from_secs(5), 1, 1, true)); // 5..15s on thread 1
@@ -1007,7 +801,7 @@ mod tests {
 
     #[test]
     fn no_idle_window_when_requests_are_back_to_back() {
-        let mut p = Probe::new(SimDuration::from_secs(1));
+        let mut p = StubFtl::new(SimDuration::from_secs(1));
         let mut t = Trace::new(1 << 20);
         for i in 0..4u64 {
             t.push(IoRequest::write(SimTime::ZERO, i, 1, true));
@@ -1016,10 +810,13 @@ mod tests {
         assert!(p.idle_windows.is_empty(), "got {:?}", p.idle_windows);
     }
 
-    /// The pre-NCQ scheduler, kept verbatim as the serial oracle: each
-    /// request goes to the earliest-free host thread with no dependency
-    /// tracking. At queue depth 1 the NCQ scheduler must reproduce its
-    /// completion times bit for bit.
+    /// The pre-NCQ scheduler plus per-sector dependency tables over the
+    /// trace footprint (the rule `replay` implemented before it scanned
+    /// only its in-flight slots), kept as the reference: each request goes
+    /// to the earliest-free host thread and waits for the last write of any
+    /// of its sectors and, if it writes, the latest read of them. At every
+    /// queue depth `replay` must reproduce its completion times bit for
+    /// bit.
     fn legacy_run_trace_qd<F: Ftl + ?Sized>(
         ftl: &mut F,
         trace: &Trace,
@@ -1028,6 +825,9 @@ mod tests {
         let start = RunStart::take(ftl);
         let base = start.base;
         let mut threads = vec![base; queue_depth];
+        let footprint = trace.footprint_sectors as usize;
+        let mut last_write = vec![SimTime::ZERO; footprint];
+        let mut last_read = vec![SimTime::ZERO; footprint];
         let mut clock = base;
         let mut read_latency = HdrHistogram::new();
         let mut write_latency = HdrHistogram::new();
@@ -1043,7 +843,16 @@ mod tests {
                 .enumerate()
                 .min_by_key(|(_, &t)| t)
                 .expect("at least one thread");
-            let issue = t_free.max(arrival);
+            let sectors = r.lsn as usize..(r.lsn + u64::from(r.sectors)) as usize;
+            let is_write = r.op == IoOp::Write;
+            let mut dep = SimTime::ZERO;
+            for s in sectors.clone() {
+                dep = dep.max(last_write[s]);
+                if is_write {
+                    dep = dep.max(last_read[s]);
+                }
+            }
+            let issue = t_free.max(arrival).max(dep);
             if arrival > t_free {
                 let all_free = threads.iter().copied().max().expect("non-empty");
                 if arrival > all_free {
@@ -1073,6 +882,15 @@ mod tests {
                     done
                 }
             };
+            // A write overwrites (its copy is the newest data); reads keep
+            // the latest, since concurrent reads complete in any order.
+            for s in sectors {
+                if is_write {
+                    last_write[s] = done;
+                } else {
+                    last_read[s] = last_read[s].max(done);
+                }
+            }
             threads[t_idx] = done;
             clock = clock.max(done);
         }
@@ -1086,113 +904,32 @@ mod tests {
         )
     }
 
-    /// A mixed workload — sync and async writes, reads, rewrites of the
-    /// same sectors, spaced and bursty arrivals — over a tiny subFTL.
-    fn mixed_trace(footprint: u64) -> Trace {
-        esp_workload::generate(&esp_workload::SyntheticConfig {
-            footprint_sectors: footprint,
-            requests: 600,
-            r_small: 0.8,
-            r_synch: 0.6,
-            read_fraction: 0.3,
-            inter_arrival: SimDuration::from_micros(300),
-            burst_period: 97,
-            burst_idle: SimDuration::from_millis(40),
-            ..esp_workload::SyntheticConfig::default()
-        })
-    }
-
-    /// Factories for all four FTLs, for cross-implementation tests.
-    fn all_ftls(cfg: &FtlConfig) -> Vec<(&'static str, Box<dyn Ftl>)> {
-        vec![
-            ("cgm", Box::new(crate::CgmFtl::new(cfg)) as Box<dyn Ftl>),
-            ("fgm", Box::new(crate::FgmFtl::new(cfg))),
-            ("sub", Box::new(SubFtl::new(cfg))),
-            ("sector_log", Box::new(crate::SectorLogFtl::new(cfg))),
-        ]
-    }
-
     #[test]
-    fn qd1_matches_serial_reference() {
-        // Bit-for-bit: the event-engine scheduler at depth 1 must
-        // reproduce the legacy serial scheduler exactly — same completion
-        // times, same latency distribution, same device state — on a
-        // workload that exercises idle windows, rewrites and reads, for
-        // every FTL in the tree.
+    fn replay_matches_legacy_reference() {
+        // Bit-for-bit: the event-engine scheduler must reproduce the
+        // table-driven reference exactly — same completion times, same
+        // latency distribution, same device state — at every queue depth,
+        // on a workload that exercises idle windows, rewrites and reads,
+        // for every FTL in the tree. At QD 1 that is the serial host.
         let cfg = FtlConfig::tiny();
-        for ((name, mut a), (_, mut b)) in all_ftls(&cfg).into_iter().zip(all_ftls(&cfg)) {
-            let trace = mixed_trace(a.logical_sectors() / 2);
-            let new = run_trace_qd(a.as_mut(), &trace, 1);
-            let old = legacy_run_trace_qd(b.as_mut(), &trace, 1);
-            assert_eq!(
-                crate::report::run_json("qd1", &new).to_pretty(),
-                crate::report::run_json("qd1", &old).to_pretty(),
-                "{name}: QD=1 must be bit-identical to the serial scheduler"
-            );
-            assert_eq!(a.ssd().makespan(), b.ssd().makespan(), "{name}");
-            assert_eq!(
-                a.ssd().commands_issued(),
-                b.ssd().commands_issued(),
-                "{name}"
-            );
-        }
-    }
-
-    #[test]
-    fn hazard_representations_are_bit_identical() {
-        // The flat tables, the pruned sparse maps, and the unpruned
-        // legacy maps must produce byte-identical replays at QD > 1:
-        // pruning only ever drops entries already dominated by the slot
-        // grant. Exercised across all four FTLs on a workload with
-        // rewrites, reads and idle windows.
-        let cfg = FtlConfig::tiny();
-        for mode in [
-            HazardMode::Sparse,
-            HazardMode::SparseUnpruned,
-            HazardMode::Auto,
-        ] {
+        for qd in [1, 2, 8, 32] {
             for ((name, mut a), (_, mut b)) in all_ftls(&cfg).into_iter().zip(all_ftls(&cfg)) {
-                let trace = mixed_trace(a.logical_sectors() / 2);
-                let flat = run_trace_qd_mode(a.as_mut(), &trace, 8, HazardMode::Flat);
-                let other = run_trace_qd_mode(b.as_mut(), &trace, 8, mode);
+                let trace = mixed_trace(a.logical_sectors() / 2, SyntheticConfig::default().seed);
+                let new = run_trace_qd(a.as_mut(), &trace, qd);
+                let old = legacy_run_trace_qd(b.as_mut(), &trace, qd);
                 assert_eq!(
-                    crate::report::run_json("qd8", &flat).to_pretty(),
-                    crate::report::run_json("qd8", &other).to_pretty(),
-                    "{name}: hazard representations must be bit-identical"
+                    crate::report::run_json("qd", &new).to_pretty(),
+                    crate::report::run_json("qd", &old).to_pretty(),
+                    "{name} qd={qd}: replay must be bit-identical to the reference"
                 );
-                assert_eq!(a.ssd().makespan(), b.ssd().makespan(), "{name}");
+                assert_eq!(a.ssd().makespan(), b.ssd().makespan(), "{name} qd={qd}");
+                assert_eq!(
+                    a.ssd().commands_issued(),
+                    b.ssd().commands_issued(),
+                    "{name} qd={qd}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn sparse_hazards_prune_to_the_working_set() {
-        // Regression for unbounded memory growth: the sparse maps used to
-        // retain one entry per sector ever touched. With pruning, a long
-        // scan over many sectors must keep the population bounded by the
-        // prune trigger plus one request's publications — not grow with
-        // the footprint.
-        let mut h = Hazards::new(HazardMode::Sparse, u64::MAX);
-        let mut t = SimTime::ZERO;
-        for i in 0..200_000u64 {
-            t += SimDuration::from_micros(10);
-            h.publish(i * 8, 8, true, t);
-            // The watermark trails the published completion, as the slot
-            // grant does in a loaded queue.
-            h.maybe_prune(t);
-        }
-        assert!(
-            h.population() <= SPARSE_PRUNE_TRIGGER + 8,
-            "population {} must stay bounded",
-            h.population()
-        );
-        // And an unpruned map demonstrates the bug being fixed.
-        let mut h = Hazards::new(HazardMode::SparseUnpruned, u64::MAX);
-        for i in 0..20_000u64 {
-            h.publish(i * 8, 8, true, SimTime::from_micros(i));
-            h.maybe_prune(SimTime::from_micros(i));
-        }
-        assert_eq!(h.population(), 160_000, "unpruned maps retain everything");
     }
 
     #[test]
@@ -1240,11 +977,13 @@ mod tests {
         // A read of sector 0 arriving while a 10-second write of sector 0
         // is in flight must wait for the write (read-after-write), even
         // with 31 free queue slots; an independent read sails through.
-        let mut p = Probe::new(SimDuration::from_secs(10));
+        let mut p = StubFtl::new(SimDuration::from_secs(10));
         let mut t = Trace::new(1 << 20);
-        t.push(IoRequest::write(SimTime::ZERO, 0, 4, true)); // 0..10 s
+        t.push(IoRequest::write(SimTime::ZERO, 0, 4, true)); // [0, 4): 0..10 s
         t.push(IoRequest::read(SimTime::ZERO, 2, 1)); // overlaps the write
         t.push(IoRequest::read(SimTime::ZERO, 100, 1)); // independent
+        t.push(IoRequest::read(SimTime::ZERO, 4, 1)); // first sector past it
+        t.push(IoRequest::read(SimTime::ZERO, 3, 1)); // its last sector
         run_trace_qd(&mut p, &t, 32);
         assert_eq!(p.issue(0), SimTime::ZERO);
         assert_eq!(
@@ -1257,11 +996,21 @@ mod tests {
             SimTime::ZERO,
             "independent read must not serialize"
         );
+        assert_eq!(
+            p.issue(3),
+            SimTime::ZERO,
+            "a read of [4, 5) does not overlap a write of [0, 4)"
+        );
+        assert_eq!(
+            p.issue(4),
+            SimTime::from_secs(10),
+            "a read of [3, 4) overlaps a write of [0, 4)"
+        );
     }
 
     #[test]
     fn write_waits_for_overlapping_reads_and_writes_at_qd32() {
-        let mut p = Probe::new(SimDuration::from_secs(10));
+        let mut p = StubFtl::new(SimDuration::from_secs(10));
         let mut t = Trace::new(1 << 20);
         t.push(IoRequest::read(SimTime::ZERO, 0, 2)); // 0..10 s
         t.push(IoRequest::write(SimTime::ZERO, 1, 1, true)); // WAR on sector 1
@@ -1281,7 +1030,7 @@ mod tests {
 
     #[test]
     fn overlapping_reads_run_concurrently() {
-        let mut p = Probe::new(SimDuration::from_secs(10));
+        let mut p = StubFtl::new(SimDuration::from_secs(10));
         let mut t = Trace::new(1 << 20);
         t.push(IoRequest::read(SimTime::ZERO, 0, 4));
         t.push(IoRequest::read(SimTime::ZERO, 0, 4));
@@ -1293,7 +1042,10 @@ mod tests {
     #[test]
     fn seeded_qd_runs_are_deterministic() {
         let cfg = FtlConfig::tiny();
-        let trace = mixed_trace(SubFtl::new(&cfg).logical_sectors() / 2);
+        let trace = mixed_trace(
+            SubFtl::new(&cfg).logical_sectors() / 2,
+            SyntheticConfig::default().seed,
+        );
         let run = |qd: usize| {
             let mut ftl = SubFtl::new(&cfg);
             let r = run_trace_qd(&mut ftl, &trace, qd);
@@ -1310,11 +1062,11 @@ mod tests {
         // increase device-level overlap, so IOPS never drops as QD grows.
         let cfg = FtlConfig::tiny();
         let footprint = SubFtl::new(&cfg).logical_sectors() / 2;
-        let trace = esp_workload::generate(&esp_workload::SyntheticConfig {
+        let trace = esp_workload::generate(&SyntheticConfig {
             footprint_sectors: footprint,
             requests: 1_500,
             read_fraction: 1.0,
-            ..esp_workload::SyntheticConfig::default()
+            ..SyntheticConfig::default()
         });
         let mut last = 0.0_f64;
         for qd in [1usize, 2, 4, 8, 16] {

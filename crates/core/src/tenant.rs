@@ -51,7 +51,7 @@
 use esp_sim::{HdrHistogram, SimDuration, SimTime};
 use esp_workload::{Trace, SECTORS_PER_PAGE};
 
-use crate::runner::{replay, Ftl, HazardMode, Lane};
+use crate::runner::{replay, Ftl, Lane};
 use crate::stats::RunReport;
 
 /// Sectors of deficit one weight unit banks per DRR turn. Small enough
@@ -433,32 +433,16 @@ pub fn run_tenants_qd<F: Ftl + ?Sized>(
             config: &e.config,
         })
         .collect();
-    replay(ftl, &lanes, queue_depth, HazardMode::Auto)
+    replay(ftl, &lanes, queue_depth)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::run_trace_qd;
-    use crate::stats::FtlStats;
+    use crate::test_fixtures::{all_ftls, mixed_trace, StubFtl};
     use crate::{FtlConfig, SubFtl};
-    use esp_ssd::Ssd;
     use esp_workload::{generate, IoRequest, SyntheticConfig};
-
-    fn mixed_trace(footprint: u64, seed: u64) -> Trace {
-        generate(&SyntheticConfig {
-            footprint_sectors: footprint,
-            requests: 600,
-            r_small: 0.8,
-            r_synch: 0.6,
-            read_fraction: 0.3,
-            inter_arrival: SimDuration::from_micros(300),
-            burst_period: 97,
-            burst_idle: SimDuration::from_millis(40),
-            seed,
-            ..SyntheticConfig::default()
-        })
-    }
 
     /// A device big enough to host two tenants (~2456 logical sectors),
     /// still small enough for fast tests.
@@ -476,15 +460,6 @@ mod tests {
             overprovision: 0.4,
             ..FtlConfig::paper_default()
         }
-    }
-
-    fn all_ftls(cfg: &FtlConfig) -> Vec<(&'static str, Box<dyn Ftl>)> {
-        vec![
-            ("cgm", Box::new(crate::CgmFtl::new(cfg)) as Box<dyn Ftl>),
-            ("fgm", Box::new(crate::FgmFtl::new(cfg))),
-            ("sub", Box::new(SubFtl::new(cfg))),
-            ("sector_log", Box::new(crate::SectorLogFtl::new(cfg))),
-        ]
     }
 
     /// THE fallback guarantee: one tenant at default QoS replays
@@ -517,63 +492,6 @@ mod tests {
         }
     }
 
-    /// Minimal `Ftl` with a fixed per-request service time, to observe
-    /// dispatch order and issue times without device-model noise.
-    struct FixedFtl {
-        ssd: Ssd,
-        stats: FtlStats,
-        busy: SimDuration,
-        calls: Vec<(u64, u32, SimTime)>,
-    }
-
-    impl FixedFtl {
-        fn new(busy: SimDuration) -> Self {
-            FixedFtl {
-                ssd: Ssd::new(esp_nand::Geometry::tiny()),
-                stats: FtlStats::new(),
-                busy,
-                calls: Vec::new(),
-            }
-        }
-    }
-
-    impl Ftl for FixedFtl {
-        fn name(&self) -> &'static str {
-            "fixed"
-        }
-        fn logical_sectors(&self) -> u64 {
-            1 << 20
-        }
-        fn write(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime {
-            self.calls.push((lsn, sectors, issue));
-            if sync {
-                issue + self.busy
-            } else {
-                issue
-            }
-        }
-        fn read(&mut self, lsn: u64, sectors: u32, issue: SimTime) -> SimTime {
-            self.calls.push((lsn, sectors, issue));
-            issue + self.busy
-        }
-        fn flush(&mut self, issue: SimTime) -> SimTime {
-            issue
-        }
-        fn stored_seq(&self, _lsn: u64) -> Option<u64> {
-            None
-        }
-        fn trim(&mut self, _lsn: u64, _sectors: u32) {}
-        fn mapping_memory_bytes(&self) -> u64 {
-            0
-        }
-        fn stats(&self) -> &FtlStats {
-            &self.stats
-        }
-        fn ssd(&self) -> &Ssd {
-            &self.ssd
-        }
-    }
-
     fn sync_writes(requests: usize, sectors: u32) -> Trace {
         let mut t = Trace::new(4096);
         for i in 0..requests {
@@ -590,7 +508,7 @@ mod tests {
     #[test]
     fn drr_respects_weights_under_saturation() {
         let (w_a, w_b) = (3u64, 1u64);
-        let mut ftl = FixedFtl::new(SimDuration::from_micros(100));
+        let mut ftl = StubFtl::new(SimDuration::from_micros(100));
         let mut set = TenantSet::new();
         set.add(
             TenantConfig::new("a").weight(w_a as u32),
@@ -605,11 +523,11 @@ mod tests {
 
         let (mut served_a, mut served_b) = (0u64, 0u64);
         let mut checked = 0;
-        for &(lsn, sectors, _) in &ftl.calls {
-            if lsn >= base_b {
-                served_b += u64::from(sectors);
+        for c in &ftl.calls {
+            if c.lsn >= base_b {
+                served_b += u64::from(c.sectors);
             } else {
-                served_a += u64::from(sectors);
+                served_a += u64::from(c.sectors);
             }
             // Both tenants have 3600 sectors of demand; only check
             // prefixes where neither can have drained.
@@ -638,14 +556,14 @@ mod tests {
     fn token_bucket_conforms_over_any_window() {
         let (rate, burst) = (5_000.0f64, 8u32);
         let requests = 600;
-        let mut ftl = FixedFtl::new(SimDuration::from_nanos(10));
+        let mut ftl = StubFtl::new(SimDuration::from_nanos(10));
         let mut set = TenantSet::new();
         set.add(
             TenantConfig::new("throttled").limit(rate, burst),
             sync_writes(requests, 1),
         );
         let report = run_tenants_qd(&mut ftl, &set, requests + 2);
-        let times: Vec<u64> = ftl.calls.iter().map(|&(_, _, t)| t.as_nanos()).collect();
+        let times: Vec<u64> = ftl.calls.iter().map(|c| c.issue.as_nanos()).collect();
         assert_eq!(times.len(), requests);
         for i in 0..times.len() {
             for j in i..times.len() {
@@ -755,7 +673,7 @@ mod tests {
 
     #[test]
     fn slo_attainment_counts_response_samples() {
-        let mut ftl = FixedFtl::new(SimDuration::from_micros(50));
+        let mut ftl = StubFtl::new(SimDuration::from_micros(50));
         let mut set = TenantSet::new();
         let mut trace = Trace::new(1024);
         for i in 0..100u64 {
@@ -779,7 +697,7 @@ mod tests {
         assert_eq!(t.slo_good, 100);
         assert_eq!(t.slo_attainment(), Some(1.0));
 
-        let mut ftl = FixedFtl::new(SimDuration::from_micros(50));
+        let mut ftl = StubFtl::new(SimDuration::from_micros(50));
         let mut set = TenantSet::new();
         set.add(
             TenantConfig::new("misses").slo(SimDuration::from_micros(40)),
@@ -804,7 +722,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the device's logical space")]
     fn oversized_tenant_set_panics_with_a_clear_message() {
-        let mut ftl = FixedFtl::new(SimDuration::from_nanos(10));
+        let mut ftl = StubFtl::new(SimDuration::from_nanos(10));
         let mut set = TenantSet::new();
         set.add(TenantConfig::new("huge"), Trace::new(1 << 21));
         run_tenants_qd(&mut ftl, &set, 1);

@@ -370,8 +370,7 @@ fn trace_from(flags: &Flags, cfg: &FtlConfig, force_file: bool) -> Result<Trace,
             let n: usize = n.parse().map_err(|e| format!("bad --take: {e}"))?;
             t = t.take(n);
         }
-        if let Some(f) = flags.get("time-scale") {
-            let f: f64 = f.parse().map_err(|e| format!("bad --time-scale: {e}"))?;
+        if let Some(f) = time_scale_from(flags)? {
             t = t.scale_time(f);
         }
         if let Some(r) = flags.get("arrival-rate") {
@@ -420,12 +419,12 @@ fn trace_from(flags: &Flags, cfg: &FtlConfig, force_file: bool) -> Result<Trace,
     }
     if let Some(b) = flags.get("benchmark") {
         let bench = benchmark_from(b)?;
-        return postprocess(generate(&bench.config(footprint, requests, seed)));
+        return postprocess(generate_checked(&bench.config(footprint, requests, seed))?);
     }
     let r_small: f64 = flags.parse_or("rsmall", 1.0)?;
     let r_synch: f64 = flags.parse_or("rsynch", 1.0)?;
     let read_fraction: f64 = flags.parse_or("read-fraction", 0.0)?;
-    postprocess(generate(&SyntheticConfig {
+    postprocess(generate_checked(&SyntheticConfig {
         footprint_sectors: footprint,
         requests,
         r_small,
@@ -436,7 +435,41 @@ fn trace_from(flags: &Flags, cfg: &FtlConfig, force_file: bool) -> Result<Trace,
         rewrite_distance: 512,
         seed,
         ..SyntheticConfig::default()
-    }))
+    })?)
+}
+
+/// Generates a synthetic workload, returning the config error that
+/// [`generate`] would panic on.
+fn generate_checked(config: &SyntheticConfig) -> Result<Trace, Box<dyn Error>> {
+    config
+        .validate()
+        .map_err(|e| format!("invalid workload: {e}"))?;
+    Ok(generate(config))
+}
+
+/// Parses `--time-scale`, which must be finite and positive.
+fn time_scale_from(flags: &Flags) -> Result<Option<f64>, Box<dyn Error>> {
+    let Some(v) = flags.get("time-scale") else {
+        return Ok(None);
+    };
+    let f: f64 = v.parse().map_err(|e| format!("bad --time-scale: {e}"))?;
+    if !(f.is_finite() && f > 0.0) {
+        return Err(format!("--time-scale must be finite and positive, got {v}").into());
+    }
+    Ok(Some(f))
+}
+
+/// Parses `--qd` (at least 1) and `--fill` (a fraction in [0, 1]).
+fn qd_and_fill(flags: &Flags) -> Result<(usize, f64), Box<dyn Error>> {
+    let qd: usize = flags.parse_or("qd", 8)?;
+    if qd == 0 {
+        return Err("--qd must be at least 1".into());
+    }
+    let fill: f64 = flags.parse_or("fill", 0.625)?;
+    if !(0.0..=1.0).contains(&fill) {
+        return Err(format!("--fill must be in [0, 1], got {fill}").into());
+    }
+    Ok((qd, fill))
 }
 
 fn print_report(r: &RunReport, lifetime: &esp_storage::ftl::FtlStats) {
@@ -631,9 +664,9 @@ fn tenant_set_from(flags: &Flags, cfg: &FtlConfig) -> Result<TenantSet, Box<dyn 
             // are, and tenant 0 uses --seed unchanged.
             let tseed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let trace = if let Some(b) = flags.get("benchmark") {
-                generate(&benchmark_from(b)?.config(footprint, requests, tseed))
+                generate_checked(&benchmark_from(b)?.config(footprint, requests, tseed))?
             } else {
-                generate(&SyntheticConfig {
+                generate_checked(&SyntheticConfig {
                     footprint_sectors: footprint,
                     requests,
                     r_small: flags.parse_or("rsmall", 1.0)?,
@@ -644,7 +677,7 @@ fn tenant_set_from(flags: &Flags, cfg: &FtlConfig) -> Result<TenantSet, Box<dyn 
                     rewrite_distance: 512,
                     seed: tseed,
                     ..SyntheticConfig::default()
-                })
+                })?
             };
             names.push(format!("t{i}"));
             traces.push(trace);
@@ -662,10 +695,7 @@ fn tenant_set_from(flags: &Flags, cfg: &FtlConfig) -> Result<TenantSet, Box<dyn 
         None => None,
         Some(v) => Some(v.parse().map_err(|e| format!("bad --take: {e}"))?),
     };
-    let time_scale: Option<f64> = match flags.get("time-scale") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|e| format!("bad --time-scale: {e}"))?),
-    };
+    let time_scale = time_scale_from(flags)?;
 
     let mut set = TenantSet::new();
     for (i, (name, mut trace)) in names.into_iter().zip(traces).enumerate() {
@@ -954,8 +984,7 @@ fn emit_json(
 
 fn cmd_run(flags: &Flags, force_file: bool) -> Result<(), Box<dyn Error>> {
     let cfg = config_from(flags)?;
-    let qd: usize = flags.parse_or("qd", 8)?;
-    let fill: f64 = flags.parse_or("fill", 0.625)?;
+    let (qd, fill) = qd_and_fill(flags)?;
     let events: usize = flags.parse_or("events", 0)?;
     if tenant_mode(flags) {
         if flags.get("array").is_some() {
@@ -1004,6 +1033,10 @@ fn cmd_run(flags: &Flags, force_file: bool) -> Result<(), Box<dyn Error>> {
     if let Some(acfg) = array_config_from(flags)? {
         let kill = kill_from(flags, acfg.devices())?;
         let configs = shard_configs(&cfg, acfg.devices(), kill);
+        for c in &configs {
+            c.validate()
+                .map_err(|e| format!("invalid shard config: {e}"))?;
+        }
         let kind = flags.get("ftl").unwrap_or("sub");
         let shards = configs
             .iter()
@@ -1051,10 +1084,9 @@ fn cmd_run(flags: &Flags, force_file: bool) -> Result<(), Box<dyn Error>> {
 
 fn cmd_compare(flags: &Flags) -> Result<(), Box<dyn Error>> {
     let cfg = config_from(flags)?;
+    let (qd, fill) = qd_and_fill(flags)?;
     let trace = trace_from(flags, &cfg, false)?;
     check_capacity(&trace, cfg.logical_sectors())?;
-    let qd: usize = flags.parse_or("qd", 8)?;
-    let fill: f64 = flags.parse_or("fill", 0.625)?;
     println!("device: {}", cfg.geometry);
     println!(
         "{:>14} {:>9} {:>8} {:>8} {:>12} {:>10}",

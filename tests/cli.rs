@@ -211,6 +211,63 @@ fn bad_inputs_fail_with_messages() {
         "stderr: {stderr}"
     );
     std::fs::remove_file(&path).ok();
+
+    // Out-of-range host input comes back as an `espsim:` error; it must
+    // never reach one of the library's asserts.
+    let rejects = |args: &[&str], message: &str| {
+        let (ok, _, stderr) = espsim(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.starts_with("espsim: ") && stderr.contains(message),
+            "{args:?}: stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
+    };
+    for cmd in ["run", "compare"] {
+        rejects(
+            &[cmd, "--qd", "0", "--requests", "10"],
+            "--qd must be at least 1",
+        );
+    }
+    for fill in ["1.5", "-0.5", "nan"] {
+        rejects(
+            &["run", "--fill", fill, "--requests", "10"],
+            "--fill must be in [0, 1]",
+        );
+    }
+    for tenants in [&[][..], &["--tenants", "2"][..]] {
+        let run =
+            |extra: &[&'static str]| [&["run", "--requests", "10"][..], tenants, extra].concat();
+        for scale in ["0", "-1", "nan"] {
+            rejects(
+                &run(&["--time-scale", scale]),
+                "--time-scale must be finite and positive",
+            );
+        }
+        rejects(&run(&["--rsmall", "2"]), "r_small must be in [0, 1]");
+        rejects(
+            &run(&["--read-fraction", "5"]),
+            "read_fraction must be in [0, 1]",
+        );
+        rejects(
+            &run(&["--benchmark", "sysbench", "--footprint", "1"]),
+            "footprint_sectors must be at least 64",
+        );
+    }
+    rejects(
+        &[
+            "run",
+            "--array",
+            "3",
+            "--kill-device",
+            "0",
+            "--kill-at-op",
+            "0",
+            "--requests",
+            "10",
+        ],
+        "die_at_op must be at least 1",
+    );
 }
 
 #[test]
