@@ -15,7 +15,7 @@ use esp_core::{
 };
 use esp_nand::{FaultConfig, Geometry, RetentionModel, RetryLadder};
 use esp_sim::SimDuration;
-use esp_workload::{generate, SyntheticConfig};
+use esp_workload::{generate, SyntheticConfig, Trace};
 
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -80,7 +80,7 @@ struct Arm {
     name: String,
     kind: Kind,
     cfg: FtlConfig,
-    trace: SyntheticConfig,
+    trace: Trace,
     counter: Counter,
     digest: u64,
 }
@@ -88,12 +88,19 @@ struct Arm {
 /// The counter an arm exists for: its name and how to read it.
 type Counter = (&'static str, fn(&dyn Ftl) -> u64);
 
+/// Replays `trace` through a fresh `kind` FTL at queue depth 4. Returns
+/// the FTL and the digest of the run's `run_json` rendering under `name`.
+fn replay(name: &str, kind: Kind, cfg: &FtlConfig, trace: &Trace) -> (Box<dyn Ftl>, u64) {
+    let mut ftl = build(kind, cfg);
+    let report = run_trace_qd(ftl.as_mut(), trace, 4);
+    let digest = fnv1a(run_json(name, &report).to_string().as_bytes());
+    (ftl, digest)
+}
+
 fn check(arms: &[Arm]) {
     let mut mismatches = Vec::new();
     for arm in arms {
-        let mut ftl = build(arm.kind, &arm.cfg);
-        let report = run_trace_qd(ftl.as_mut(), &generate(&arm.trace), 4);
-        let digest = fnv1a(run_json(&arm.name, &report).to_string().as_bytes());
+        let (ftl, digest) = replay(&arm.name, arm.kind, &arm.cfg, &arm.trace);
         let (counter, read) = arm.counter;
         assert!(
             read(ftl.as_ref()) > 0,
@@ -117,7 +124,7 @@ fn check(arms: &[Arm]) {
 fn arms(
     scenario: &str,
     cfg: &FtlConfig,
-    trace: &SyntheticConfig,
+    trace: &Trace,
     counter: Counter,
     digests: &[(Kind, u64)],
 ) -> Vec<Arm> {
@@ -141,7 +148,7 @@ fn golden_default() {
     check(&arms(
         "default",
         &cfg,
-        &trace,
+        &generate(&trace),
         ("gc_invocations", |f| f.stats().gc_invocations),
         &[
             (Kind::Cgm, 0xc3f53233f3a1a774),
@@ -167,7 +174,7 @@ fn golden_wear_leveling_adaptive_erase() {
     check(&arms(
         "wear",
         &cfg,
-        &trace,
+        &generate(&trace),
         ("wear_swaps + wear_level_migrations", |f| {
             f.stats().wear_swaps + f.stats().wear_level_migrations
         }),
@@ -196,7 +203,7 @@ fn golden_program_and_erase_failures() {
     check(&arms(
         "faults",
         &cfg,
-        &trace,
+        &generate(&trace),
         ("min(erase_failures, program_failures)", |f| {
             f.stats().erase_failures.min(f.stats().program_failures)
         }),
@@ -225,7 +232,7 @@ fn golden_retry_ladder_reclaim_hot_reads() {
     check(&arms(
         "hot_reads",
         &cfg,
-        &trace,
+        &generate(&trace),
         ("disturb_scrubs + read_reclaims", |f| {
             f.stats().disturb_scrubs + f.stats().read_reclaims
         }),
@@ -253,7 +260,7 @@ fn golden_cost_benefit_background_gc() {
     check(&arms(
         "cost_benefit_bg",
         &cfg,
-        &trace,
+        &generate(&trace),
         ("gc_invocations", |f| f.stats().gc_invocations),
         &[
             (Kind::Cgm, 0x86cb50f4985ee472),
@@ -281,7 +288,7 @@ fn golden_end_of_life() {
     check(&arms(
         "end_of_life",
         &cfg,
-        &trace,
+        &generate(&trace),
         ("op_shrinks + end_of_life_trips", |f| {
             f.stats().op_shrinks + f.stats().end_of_life_trips
         }),
@@ -312,7 +319,7 @@ fn golden_map_cache() {
     check(&arms(
         "map_cache",
         &cfg,
-        &trace,
+        &generate(&trace),
         ("map_cache evictions", |f| {
             f.map_cache_stats().map_or(0, |m| m.evictions)
         }),
@@ -321,6 +328,49 @@ fn golden_map_cache() {
             (Kind::Fgm, 0xc22fe836e4fa5863),
         ],
     ));
+}
+
+#[test]
+fn golden_greedy_background_gc_open_arrivals() {
+    // Poisson arrivals at 300 requests/s: the mean gap is 3.3 ms, so idle
+    // windows fall on both sides of one 5 ms erase. Mostly full-page
+    // writes, so subFTL's full-page region drops below its idle target.
+    let cfg = FtlConfig {
+        background_gc: true,
+        ..base()
+    };
+    let trace = generate(&SyntheticConfig {
+        r_small: 0.3,
+        ..trace_cfg(&cfg, 4_000, 18)
+    })
+    .with_poisson_arrivals(300.0, 18);
+    let arms = arms(
+        "greedy_bg_open",
+        &cfg,
+        &trace,
+        ("gc_invocations", |f| f.stats().gc_invocations),
+        &[
+            (Kind::Cgm, 0x0fb01544270858f2),
+            (Kind::Fgm, 0xcf6a72d2f891ffb3),
+            (Kind::Sub, 0xa1123957e92aa861),
+            (Kind::SectorLog, 0x7c98c26d0ca7322a),
+        ],
+    );
+    check(&arms);
+    // The idle windows must have changed the run, or the digests would
+    // not lock the background path.
+    let off = FtlConfig {
+        background_gc: false,
+        ..cfg
+    };
+    for arm in &arms {
+        let (_, digest) = replay(&arm.name, arm.kind, &off, &trace);
+        assert_ne!(
+            digest, arm.digest,
+            "{}: background GC left the run unchanged",
+            arm.name
+        );
+    }
 }
 
 /// subFTL's subpage-map probe counters and live entry count after seeded
