@@ -94,6 +94,15 @@ pub(crate) fn erase_or_retire(
     }
 }
 
+/// Whether the idle window `[from, until]` can hold one erase. Every
+/// idle collection estimates its cost as one erase plus a non-negative
+/// copy cost and starts only if the estimate ends by `until`, so a window
+/// that fails this test can collect nothing: `Ftl::idle` returns before
+/// any victim scan.
+pub(crate) fn window_fits_erase(ssd: &Ssd, from: SimTime, until: SimTime) -> bool {
+    from + ssd.device().op_cost(esp_nand::OpKind::Erase).total() <= until
+}
+
 /// Effective P/E cycles of device block `gbi` (raw erase count unless
 /// adaptive erase is charging fractional stress).
 fn effective_pe(ssd: &Ssd, gbi: u32) -> u32 {
@@ -676,5 +685,71 @@ impl BlockPool {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use esp_nand::{DeviceStats, OpKind};
+    use esp_sim::{SimDuration, SimTime};
+    use esp_workload::{generate, SyntheticConfig};
+
+    use crate::test_fixtures::all_ftls;
+    use crate::{run_trace_qd, CgmFtl, Ftl, FtlConfig};
+
+    fn background_config() -> FtlConfig {
+        FtlConfig {
+            background_gc: true,
+            ..FtlConfig::tiny()
+        }
+    }
+
+    fn erase(ftl: &dyn Ftl) -> SimDuration {
+        ftl.ssd().device().op_cost(OpKind::Erase).total()
+    }
+
+    /// The FTL's and the device's counters.
+    fn counters(ftl: &dyn Ftl) -> (String, DeviceStats) {
+        (format!("{:?}", ftl.stats()), *ftl.ssd().device().stats())
+    }
+
+    #[test]
+    fn window_one_ns_short_of_an_erase_changes_nothing() {
+        let cfg = background_config();
+        // Back-to-back arrivals: the replay grants no idle window, so the
+        // pools end where foreground GC left them, under the idle target.
+        let trace = generate(&SyntheticConfig {
+            footprint_sectors: cfg.logical_sectors() / 2,
+            requests: 2_000,
+            r_small: 0.5,
+            ..SyntheticConfig::default()
+        });
+        for (name, mut ftl) in all_ftls(&cfg) {
+            run_trace_qd(ftl.as_mut(), &trace, 4);
+            let from = SimTime::from_secs(1_000);
+            let before = counters(ftl.as_ref());
+            let short = erase(ftl.as_ref()) - SimDuration::from_nanos(1);
+            ftl.idle(from, from + short);
+            assert_eq!(counters(ftl.as_ref()), before, "{name}");
+            // A long window does collect: the pool was under its target.
+            ftl.idle(from, from + SimDuration::from_secs(1));
+            assert_ne!(counters(ftl.as_ref()), before, "{name}: nothing to collect");
+        }
+    }
+
+    #[test]
+    fn window_of_exactly_one_erase_collects_an_empty_block() {
+        let mut ftl = CgmFtl::new(&background_config());
+        // Rewriting one page leaves every closed block but the newest
+        // fully invalid, and foreground GC holds the pool at its watermark,
+        // under the idle target.
+        let mut now = SimTime::ZERO;
+        for _ in 0..200 {
+            now = ftl.write(0, 4, true, now);
+        }
+        let from = now + SimDuration::from_secs(1);
+        let before = ftl.stats().gc_invocations;
+        ftl.idle(from, from + erase(&ftl));
+        assert_eq!(ftl.stats().gc_invocations, before + 1);
     }
 }

@@ -11,6 +11,7 @@ use esp_sim::{merge_events, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::window_fits_erase;
 use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
 use crate::config::FtlConfig;
 use crate::full_region::FullRegionEngine;
@@ -386,7 +387,10 @@ impl Ftl for CgmFtl {
     }
 
     fn idle(&mut self, from: SimTime, until: SimTime) {
-        if !self.background_gc || self.ssd.device_failed() {
+        if !self.background_gc
+            || self.ssd.device_failed()
+            || !window_fits_erase(&self.ssd, from, until)
+        {
             return;
         }
         let target = self.engine.watermark() + 2;

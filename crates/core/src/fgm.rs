@@ -12,7 +12,7 @@ use esp_sim::{merge_events, EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
-use crate::block_pool::{BlockPool, Refill};
+use crate::block_pool::{window_fits_erase, BlockPool, Refill};
 use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
 use crate::config::FtlConfig;
 use crate::gc_policy::GcPolicyKind;
@@ -680,7 +680,10 @@ impl Ftl for FgmFtl {
     }
 
     fn idle(&mut self, from: SimTime, until: SimTime) {
-        if !self.background_gc || self.ssd.device_failed() {
+        if !self.background_gc
+            || self.ssd.device_failed()
+            || !window_fits_erase(&self.ssd, from, until)
+        {
             return;
         }
         use esp_nand::OpKind;

@@ -96,50 +96,50 @@ pub const WINDOW: usize = 16;
 /// Right-shift applied to a pool's per-block capacity to derive the
 /// wear-leveling valid-count slack (capacity/8, minimum 1). Shared by
 /// every victim site so the wear bias is proportional everywhere.
-pub const VICTIM_WEAR_SLACK_SHIFT: u32 = 3;
+pub(crate) const VICTIM_WEAR_SLACK_SHIFT: u32 = 3;
 
 /// One collectable block, as seen by the policy.
 #[derive(Debug, Clone, Copy)]
-pub struct VictimCandidate {
+pub(crate) struct VictimCandidate {
     /// Pool-local block index (what the caller gets back).
-    pub index: u32,
+    pub(crate) index: u32,
     /// Valid units still in the block (pages, subpages, or sectors —
     /// whatever the pool's copy currency is).
-    pub valid: u32,
+    pub(crate) valid: u32,
     /// Units per block in this pool; `valid == capacity` means nothing
     /// is reclaimed by collecting it.
-    pub capacity: u32,
+    pub(crate) capacity: u32,
     /// Logical age: engine close-counter minus the block's close stamp.
     /// Larger = closed longer ago. Recovery-restored blocks report the
     /// full counter value (maximally old).
-    pub age: u64,
+    pub(crate) age: u64,
     /// Effective program/erase wear (milli-P/E); used only when
     /// `wear_leveling` is set in [`SelectOpts`].
-    pub wear: u32,
+    pub(crate) wear: u32,
 }
 
 /// Per-site knobs for [`select_victim`]. The victim sites differ only in
 /// two details of the historical wear-slack path, preserved here
 /// bit-for-bit.
 #[derive(Debug, Clone, Copy)]
-pub struct SelectOpts {
+pub(crate) struct SelectOpts {
     /// Apply the wear-leveling slack pass after the policy's choice.
-    pub wear_leveling: bool,
+    pub(crate) wear_leveling: bool,
     /// Historical quirk (the block-pool site): when the best candidate is
     /// fully valid, skip the wear pass and return it directly. subFTL's
     /// subpage region never short-circuits.
-    pub early_return_full: bool,
+    pub(crate) early_return_full: bool,
     /// Historical quirk (same site): cap the slack window at
     /// `capacity − 1` so a fully-valid block is never chosen over a
     /// partially-invalid one. subFTL applies no cap.
-    pub cap_limit: bool,
+    pub(crate) cap_limit: bool,
 }
 
 impl SelectOpts {
     /// The block pool's flavour (cgm, fgm, sector-log, subFTL's full-page
     /// region).
     #[must_use]
-    pub fn standard(wear_leveling: bool) -> Self {
+    pub(crate) fn standard(wear_leveling: bool) -> Self {
         SelectOpts {
             wear_leveling,
             early_return_full: true,
@@ -149,7 +149,7 @@ impl SelectOpts {
 
     /// subFTL's subpage-region flavour (no early return, no cap).
     #[must_use]
-    pub fn subpage(wear_leveling: bool) -> Self {
+    pub(crate) fn subpage(wear_leveling: bool) -> Self {
         SelectOpts {
             wear_leveling,
             early_return_full: false,
@@ -215,7 +215,7 @@ fn policy_reference(kind: GcPolicyKind, candidates: &[VictimCandidate]) -> Optio
 /// candidate's `index` field. Candidates must be pushed in ascending
 /// block-index order — greedy tie-breaking depends on slice order.
 #[must_use]
-pub fn select_victim(
+pub(crate) fn select_victim(
     kind: GcPolicyKind,
     opts: SelectOpts,
     candidates: &[VictimCandidate],

@@ -80,9 +80,7 @@ pub use crash_harness::{
 pub use eol::SpaceExhausted;
 pub use fgm::FgmFtl;
 pub use full_region::{FullRegionEngine, PagePtr};
-pub use gc_policy::{
-    select_victim, GcPolicyKind, SelectOpts, VictimCandidate, VICTIM_WEAR_SLACK_SHIFT,
-};
+pub use gc_policy::GcPolicyKind;
 pub use map_cache::{MapCache, MapCacheConfig, MapCacheStats, ENTRIES_PER_TP};
 pub use report::{
     latency_json, run_json, tenant_json, tenants_json, validate_bench, BenchReport,

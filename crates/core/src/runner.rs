@@ -116,6 +116,13 @@ pub trait Ftl {
     /// `until`. FTLs with background GC use the window to reclaim blocks
     /// off the critical path; the default does nothing. Implementations may
     /// slightly overrun `until` to finish the victim they started.
+    ///
+    /// The four FTLs return at once, before any victim scan, when the
+    /// window cannot hold one erase (`from + tBERS > until`). The rule is
+    /// exact: each of their idle collections estimates one erase plus a
+    /// non-negative copy cost, starts only if `now + estimate <= until`,
+    /// and changes nothing before that check, so such a window could
+    /// never have collected anything.
     fn idle(&mut self, _from: SimTime, _until: SimTime) {}
 
     /// Diagnostic hook: the write sequence number stored on flash for the

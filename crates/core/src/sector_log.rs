@@ -20,7 +20,7 @@ use esp_sim::{merge_events, EventBuffer, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
-use crate::block_pool::{BlockPool, Refill};
+use crate::block_pool::{window_fits_erase, BlockPool, Refill};
 use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
 use crate::config::FtlConfig;
 use crate::full_region::FullRegionEngine;
@@ -806,7 +806,10 @@ impl Ftl for SectorLogFtl {
     }
 
     fn idle(&mut self, from: SimTime, until: SimTime) {
-        if !self.background_gc || self.ssd.device_failed() {
+        if !self.background_gc
+            || self.ssd.device_failed()
+            || !window_fits_erase(&self.ssd, from, until)
+        {
             return;
         }
         // Refill the data-region pool first, then pre-merge log blocks: a

@@ -26,7 +26,7 @@ use esp_sim::{merge_events, EventBuffer, SimDuration, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
-use crate::block_pool::erase_or_retire;
+use crate::block_pool::{erase_or_retire, window_fits_erase};
 use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
 use crate::config::{EvictionPolicy, FtlConfig};
 use crate::full_region::FullRegionEngine;
@@ -1679,7 +1679,10 @@ impl Ftl for SubFtl {
     }
 
     fn idle(&mut self, from: SimTime, until: SimTime) {
-        if !self.background_gc || self.ssd.device_failed() {
+        if !self.background_gc
+            || self.ssd.device_failed()
+            || !window_fits_erase(&self.ssd, from, until)
+        {
             return;
         }
         // Keep the full-page region comfortably above its GC trigger.
@@ -1696,7 +1699,10 @@ impl Ftl for SubFtl {
             + self.ssd.device().op_cost(OpKind::ProgramSubpage).total()
             + self.ssd.device().op_cost(OpKind::ProgramFull).total();
         let erase = self.ssd.device().op_cost(OpKind::Erase).total();
-        while let Some(valid) = self.min_collectable_valid() {
+        while self.reserve_usable() {
+            let Some(valid) = self.min_collectable_valid() else {
+                break;
+            };
             if valid > self.pages_per_block / 2 {
                 break; // not profitable; let foreground batching decide
             }
@@ -2148,5 +2154,55 @@ mod tests {
         );
         assert!(report.stats.write_retries > 0, "p=0.02 must force retries");
         ftl.check_invariants();
+    }
+
+    #[test]
+    fn idle_gc_stops_when_the_reserve_is_lost() {
+        // Erase failures eat the spare blocks until the lap region's GC
+        // reserve cannot be replaced. Idle-window GC must then stand down,
+        // as foreground GC does, and the drive latches end of life. The
+        // setup is `espsim run --ftl sub --geometry 2x2x16x32 --op 0.4
+        // --fill 0.6 --requests 12000 --rsmall 0.9 --read-fraction 0.3
+        // --arrival-rate 300 --background-gc true --efail 0.3
+        // --bad-blocks 4 --fault-seed 1`.
+        let config = FtlConfig {
+            geometry: esp_nand::Geometry {
+                channels: 2,
+                chips_per_channel: 2,
+                blocks_per_chip: 16,
+                pages_per_block: 32,
+                subpages_per_page: 4,
+                subpage_bytes: 4096,
+            },
+            overprovision: 0.4,
+            background_gc: true,
+            fault: Some(esp_nand::FaultConfig {
+                seed: 1,
+                erase_fail_prob: 0.3,
+                factory_bad_blocks: 4,
+                ..esp_nand::FaultConfig::default()
+            }),
+            ..FtlConfig::paper_default()
+        };
+        let mut ftl = SubFtl::new(&config);
+        crate::runner::precondition(&mut ftl, 0.6);
+        let footprint = ftl.logical_sectors() * 5 / 8;
+        let trace = generate(&SyntheticConfig {
+            footprint_sectors: footprint,
+            requests: 12_000,
+            r_small: 0.9,
+            r_synch: 1.0,
+            read_fraction: 0.3,
+            zipf_theta: 0.9,
+            small_zone_sectors: Some(64),
+            rewrite_distance: 512,
+            seed: 42,
+            ..SyntheticConfig::default()
+        })
+        .with_poisson_arrivals(300.0, 42 ^ 0xA221_7A1E);
+        let report = crate::runner::run_trace_qd(&mut ftl, &trace, 8);
+        assert!(!ftl.reserve_usable(), "the run must lose the reserve");
+        assert!(ftl.end_of_life());
+        assert_eq!(report.stats.read_faults, 0);
     }
 }

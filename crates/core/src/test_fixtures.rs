@@ -1,5 +1,6 @@
-//! Replay test fixtures shared by the `runner.rs` and `tenant.rs` unit
-//! tests: a fixed-latency stub FTL, one mixed workload, and the four FTLs.
+//! Replay test fixtures shared by the `runner.rs`, `tenant.rs` and
+//! `block_pool.rs` unit tests: a fixed-latency stub FTL, one mixed
+//! workload, and the four FTLs.
 
 use esp_sim::{SimDuration, SimTime};
 use esp_ssd::Ssd;
