@@ -5,10 +5,9 @@
 //! ```
 //!
 //! Runs are matched by `label`. For each matched run the throughput
-//! metrics (`iops`, `write_bandwidth_mbps`, `sim_iops_per_core`) must not
-//! *drop* by more than the threshold, and the cost metrics (latency
-//! percentiles, WAF, erase count) must not *rise* by more than the
-//! threshold. Exit status:
+//! metrics (`iops`, `write_bandwidth_mbps`) must not *drop* by more than
+//! the threshold, and the cost metrics (latency percentiles, WAF, erase
+//! count) must not *rise* by more than the threshold. Exit status:
 //!
 //! * `0` — no regression beyond the threshold (improvements are fine);
 //! * `1` — at least one regression (each is printed);
@@ -26,11 +25,8 @@ use esp_sim::Json;
 /// Relative drop in a higher-is-better metric that counts as a regression.
 const DEFAULT_THRESHOLD: f64 = 0.10;
 
-/// Metric paths where *larger* is better. `sim_iops_per_core` is host-wall
-/// based (simulated requests retired per host-core-second), so unlike the
-/// simulated metrics it is *not* deterministic across runs; compare it only
-/// with a generous `--threshold` that absorbs machine noise.
-const HIGHER_IS_BETTER: [&str; 3] = ["iops", "write_bandwidth_mbps", "sim_iops_per_core"];
+/// Metric paths where *larger* is better.
+const HIGHER_IS_BETTER: [&str; 2] = ["iops", "write_bandwidth_mbps"];
 
 /// Metric paths where *smaller* is better.
 const LOWER_IS_BETTER: [&str; 8] = [

@@ -36,7 +36,7 @@ pub fn experiment_geometry() -> Geometry {
 
 /// The full-size geometry (4 GiB, the library default) for `--big` runs.
 #[must_use]
-pub fn big_geometry() -> Geometry {
+fn big_geometry() -> Geometry {
     Geometry::paper_default()
 }
 
@@ -205,46 +205,6 @@ impl TextTable {
             out.push('\n');
         }
         out
-    }
-}
-
-/// Minimal wall-clock micro-benchmark harness for the `benches/` targets
-/// (plain `harness = false` mains; no external benchmarking framework).
-pub mod micro {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// Times `routine` over `iters` fresh states from `setup` (setup cost is
-    /// excluded) and prints the median, min and max wall-clock time per
-    /// iteration.
-    pub fn bench_batched<S, T>(
-        name: &str,
-        iters: u32,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> T,
-    ) {
-        assert!(iters > 0, "need at least one iteration");
-        let mut samples_ns: Vec<u128> = Vec::with_capacity(iters as usize);
-        // One untimed warm-up iteration.
-        black_box(routine(setup()));
-        for _ in 0..iters {
-            let state = setup();
-            let start = Instant::now();
-            black_box(routine(state));
-            samples_ns.push(start.elapsed().as_nanos());
-        }
-        samples_ns.sort_unstable();
-        let median = samples_ns[samples_ns.len() / 2];
-        let (min, max) = (samples_ns[0], samples_ns[samples_ns.len() - 1]);
-        println!(
-            "{name:<44} median {:>12} ns/iter   (min {min}, max {max}, n={iters})",
-            median
-        );
-    }
-
-    /// Times `routine` with no per-iteration setup.
-    pub fn bench<T>(name: &str, iters: u32, mut routine: impl FnMut() -> T) {
-        bench_batched(name, iters, || (), |()| routine());
     }
 }
 

@@ -17,10 +17,10 @@
 //! The buffer stores **maximal contiguous runs** in a sorted `Vec` — the
 //! exact [`FlushChunk`]s it will eventually emit — instead of one map node
 //! per dirty sector. A multi-sector write is one binary search plus a run
-//! merge rather than per-sector tree inserts, `drain_all` is `mem::take`,
-//! and the flush path allocates nothing per sector. The run list is kept
-//! sorted, disjoint, and maximal (no two runs touch), so every operation
-//! can binary-search by start/end.
+//! merge rather than per-sector tree inserts, a full drain moves the run
+//! list out whole, and the flush path allocates nothing per sector. The
+//! run list is kept sorted, disjoint, and maximal (no two runs touch), so
+//! every operation can binary-search by start/end.
 
 use esp_sim::SimTime;
 use esp_ssd::Ssd;
@@ -56,21 +56,6 @@ impl FlushChunk {
 }
 
 /// A fixed-capacity, coalescing write buffer keyed by logical sector.
-///
-/// # Examples
-///
-/// ```
-/// use esp_core::WriteBuffer;
-///
-/// let mut buf = WriteBuffer::new(8);
-/// buf.insert(10, 2, true);
-/// buf.insert(12, 1, true);
-/// // The three sectors coalesce into one contiguous chunk.
-/// let chunks = buf.drain_all();
-/// assert_eq!(chunks.len(), 1);
-/// assert_eq!(chunks[0].start_lsn, 10);
-/// assert_eq!(chunks[0].sectors(), 3);
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct WriteBuffer {
     capacity: usize,
@@ -116,21 +101,9 @@ impl WriteBuffer {
         self.spare.pop().unwrap_or_default()
     }
 
-    /// Number of dirty sectors currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no sectors are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// True once the buffer is at or beyond capacity (time to flush).
     #[must_use]
-    pub fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.len >= self.capacity
     }
 
@@ -208,17 +181,10 @@ impl WriteBuffer {
         self.runs.drain(i + 1..j);
     }
 
-    /// Removes and returns every buffered sector as maximal contiguous
-    /// chunks, in ascending LSN order.
-    pub fn drain_all(&mut self) -> Vec<FlushChunk> {
-        let mut out = Vec::new();
-        self.drain_all_into(&mut out);
-        out
-    }
-
-    /// Allocation-free [`WriteBuffer::drain_all`]: appends the drained
-    /// chunks to `out` (which the caller reuses across flushes).
-    pub fn drain_all_into(&mut self, out: &mut Vec<FlushChunk>) {
+    /// Removes every buffered sector as maximal contiguous chunks, in
+    /// ascending LSN order, appending them to `out` (which the caller
+    /// reuses across flushes).
+    fn drain_all_into(&mut self, out: &mut Vec<FlushChunk>) {
         self.len = 0;
         out.append(&mut self.runs);
     }
@@ -261,19 +227,11 @@ impl WriteBuffer {
         dropped
     }
 
-    /// Removes and returns the contiguous runs that overlap *or touch*
+    /// Removes the contiguous runs that overlap *or touch*
     /// `[lsn, lsn + sectors)` — the sectors a synchronous write must force
-    /// out, together with their merge partners. Each run comes out whole,
-    /// as its own chunk.
-    pub fn take_overlapping(&mut self, lsn: u64, sectors: u32) -> Vec<FlushChunk> {
-        let mut out = Vec::new();
-        self.take_overlapping_into(lsn, sectors, &mut out);
-        out
-    }
-
-    /// Allocation-free [`WriteBuffer::take_overlapping`]: appends the taken
-    /// runs to `out` (which the caller reuses across flushes).
-    pub fn take_overlapping_into(&mut self, lsn: u64, sectors: u32, out: &mut Vec<FlushChunk>) {
+    /// out, together with their merge partners — appending each run whole,
+    /// as its own chunk, to `out` (which the caller reuses across flushes).
+    fn take_overlapping_into(&mut self, lsn: u64, sectors: u32, out: &mut Vec<FlushChunk>) {
         let end = lsn + u64::from(sectors);
         let i = self.runs.partition_point(|r| r.end_lsn() < lsn);
         let j = self.runs.partition_point(|r| r.start_lsn <= end);
@@ -391,18 +349,30 @@ mod tests {
         assert_eq!(total, b.len, "sector counter out of sync");
     }
 
+    fn drain_all(b: &mut WriteBuffer) -> Vec<FlushChunk> {
+        let mut out = Vec::new();
+        b.drain_all_into(&mut out);
+        out
+    }
+
+    fn take_overlapping(b: &mut WriteBuffer, lsn: u64, sectors: u32) -> Vec<FlushChunk> {
+        let mut out = Vec::new();
+        b.take_overlapping_into(lsn, sectors, &mut out);
+        out
+    }
+
     #[test]
     fn insert_and_absorb() {
         let mut b = WriteBuffer::new(100);
         b.insert(5, 3, true);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.len, 3);
         // Overwrite absorbs (no growth) and updates origin.
         b.insert(6, 1, false);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.len, 3);
         check(&b);
-        let chunks = b.drain_all();
+        let chunks = drain_all(&mut b);
         assert_eq!(chunks[0].origins, vec![true, false, true]);
-        assert!(b.is_empty());
+        assert_eq!(b.len, 0);
     }
 
     #[test]
@@ -412,7 +382,7 @@ mod tests {
         b.insert(10, 1, false);
         b.insert(2, 1, true); // extends the first run
         check(&b);
-        let chunks = b.drain_all();
+        let chunks = drain_all(&mut b);
         assert_eq!(chunks.len(), 2);
         assert_eq!((chunks[0].start_lsn, chunks[0].sectors()), (0, 3));
         assert_eq!((chunks[1].start_lsn, chunks[1].sectors()), (10, 1));
@@ -427,7 +397,7 @@ mod tests {
                                // untouched prefix (0) and suffix (5) keep theirs.
         b.insert(1, 4, true);
         check(&b);
-        let chunks = b.drain_all();
+        let chunks = drain_all(&mut b);
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].start_lsn, 0);
         assert_eq!(chunks[0].origins, vec![true, true, true, true, true, false]);
@@ -440,10 +410,10 @@ mod tests {
         b.insert(20, 1, false);
         // Sync write of sector 5 must flush the whole 4..8 run (its merge
         // partners) but leave 20 alone.
-        let chunks = b.take_overlapping(5, 1);
+        let chunks = take_overlapping(&mut b, 5, 1);
         assert_eq!(chunks.len(), 1);
         assert_eq!((chunks[0].start_lsn, chunks[0].sectors()), (4, 4));
-        assert_eq!(b.len(), 1);
+        assert_eq!(b.len, 1);
         assert!(b.contains(20));
         check(&b);
     }
@@ -454,11 +424,11 @@ mod tests {
         b.insert(8, 2, true); // 8,9
         b.insert(12, 2, true); // 12,13
                                // Taking [9, 13) touches both runs; each comes out whole.
-        let chunks = b.take_overlapping(9, 4);
+        let chunks = take_overlapping(&mut b, 9, 4);
         assert_eq!(chunks.len(), 2);
         assert_eq!((chunks[0].start_lsn, chunks[0].sectors()), (8, 2));
         assert_eq!((chunks[1].start_lsn, chunks[1].sectors()), (12, 2));
-        assert!(b.is_empty());
+        assert_eq!(b.len, 0);
     }
 
     #[test]
@@ -469,19 +439,19 @@ mod tests {
         let mut b = WriteBuffer::new(100);
         b.insert(2, 2, true); // 2,3
         b.insert(6, 2, false); // 6,7
-        let chunks = b.take_overlapping(4, 2); // [4, 6): touches both
+        let chunks = take_overlapping(&mut b, 4, 2); // [4, 6): touches both
         assert_eq!(chunks.len(), 2);
         assert_eq!((chunks[0].start_lsn, chunks[0].sectors()), (2, 2));
         assert_eq!((chunks[1].start_lsn, chunks[1].sectors()), (6, 2));
-        assert!(b.is_empty());
+        assert_eq!(b.len, 0);
     }
 
     #[test]
     fn take_overlapping_on_empty_range_returns_nothing() {
         let mut b = WriteBuffer::new(100);
         b.insert(0, 1, true);
-        assert!(b.take_overlapping(50, 2).is_empty());
-        assert_eq!(b.len(), 1);
+        assert!(take_overlapping(&mut b, 50, 2).is_empty());
+        assert_eq!(b.len, 1);
     }
 
     #[test]
@@ -489,7 +459,7 @@ mod tests {
         let mut b = WriteBuffer::new(100);
         b.insert(0, 4, true);
         assert_eq!(b.discard(1, 2), 2);
-        assert_eq!(b.len(), 2);
+        assert_eq!(b.len, 2);
         assert!(b.contains(0) && b.contains(3));
         assert_eq!(b.discard(10, 5), 0);
         check(&b);
@@ -502,7 +472,7 @@ mod tests {
         b.insert(5, 3, false); // 5..8
                                // Cut [2, 6): tail of the first run, head of the second.
         assert_eq!(b.discard(2, 4), 2);
-        assert_eq!(b.len(), 4);
+        assert_eq!(b.len, 4);
         assert!(b.contains(0) && b.contains(1) && b.contains(6) && b.contains(7));
         assert!(!b.contains(2) && !b.contains(5));
         check(&b);
@@ -599,12 +569,12 @@ mod tests {
                 match rng.next_u64() % 8 {
                     0 => {
                         assert_eq!(
-                            buf.take_overlapping(lsn, sectors),
+                            take_overlapping(&mut buf, lsn, sectors),
                             reference.take_overlapping(lsn, sectors)
                         );
                     }
                     1 => {
-                        assert_eq!(buf.drain_all(), reference.drain_all());
+                        assert_eq!(drain_all(&mut buf), reference.drain_all());
                     }
                     2 => {
                         assert_eq!(buf.discard(lsn, sectors), reference.discard(lsn, sectors));
@@ -615,12 +585,12 @@ mod tests {
                     }
                 }
                 check(&buf);
-                assert_eq!(buf.len(), reference.entries.len());
+                assert_eq!(buf.len, reference.entries.len());
                 for s in 0..56 {
                     assert_eq!(buf.contains(s), reference.entries.contains_key(&s));
                 }
             }
-            assert_eq!(buf.drain_all(), reference.drain_all());
+            assert_eq!(drain_all(&mut buf), reference.drain_all());
         }
     }
 }

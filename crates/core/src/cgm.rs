@@ -88,7 +88,6 @@ impl CgmFtl {
             config.geometry.pages_per_block,
             config.geometry.blocks_per_chip,
             lpn_count,
-            config.gc_free_watermark,
         );
         engine.set_wear_leveling(config.wear_leveling);
         engine.set_gc_policy(config.gc_policy);

@@ -10,6 +10,11 @@ use esp_workload::SECTORS_PER_PAGE;
 use crate::gc_policy::GcPolicyKind;
 use crate::map_cache::MapCacheConfig;
 
+/// The full-page engine, fgm and sector-log's log region start foreground
+/// GC when their free-block count drops below this (the engine and fgm
+/// shed it toward 1 as the device wears out).
+pub(crate) const GC_FREE_WATERMARK: u32 = 2;
+
 /// What subFTL's subpage-region GC does with a victim block's valid
 /// subpages (paper §4.2; the default refines the paper's rule with a
 /// second chance — see the ablation `ablation_eviction`).
@@ -44,7 +49,8 @@ impl fmt::Display for EvictionPolicy {
     }
 }
 
-/// Configuration shared by all three FTLs (cgmFTL, fgmFTL, subFTL).
+/// Configuration shared by all four FTLs (cgmFTL, fgmFTL, subFTL,
+/// sectorLogFTL).
 ///
 /// The defaults reproduce the paper's §5 setup where the paper specifies a
 /// value, and use stated, conventional values elsewhere:
@@ -56,8 +62,13 @@ impl fmt::Display for EvictionPolicy {
 /// * exported (logical) capacity = 75 % of raw flash. The paper does not
 ///   state its over-provisioning; 25 % is chosen so that subFTL's full-page
 ///   region (80 % of raw) can always hold the entire logical space, and the
-///   *same* logical capacity is exported by all three FTLs so comparisons
+///   *same* logical capacity is exported by all four FTLs so comparisons
 ///   are apples-to-apples.
+///
+/// Fixed, not configurable: the full-page engine, fgm and sector-log's log
+/// region start foreground GC below two free blocks, subFTL scans for
+/// over-age subpages once a simulated day, and its subpage-region GC
+/// reclaims every profitable victim per episode.
 ///
 /// # Examples
 ///
@@ -80,24 +91,14 @@ pub struct FtlConfig {
     pub overprovision: f64,
     /// Write-buffer capacity in 4 KB sectors.
     pub write_buffer_sectors: usize,
-    /// GC starts when a region's free-block count drops below this.
-    pub gc_free_watermark: u32,
     /// Fraction of blocks assigned to subFTL's subpage region (paper: 0.20).
     pub subpage_region_fraction: f64,
     /// subFTL evicts subpages older than this to the full-page region
     /// (paper: 15 days against the 1-month device bound).
     pub retention_threshold: SimDuration,
-    /// How often subFTL scans for over-age subpages.
-    pub retention_scan_interval: SimDuration,
     /// Wear-leveling: swap free blocks between regions when the P/E delta
     /// exceeds this.
     pub wear_delta_threshold: u32,
-    /// How many erased blocks a subpage-region GC episode reclaims before
-    /// writing resumes (0 = automatic: every profitable victim). Reclaiming
-    /// a batch keeps several blocks in write rotation, so consecutive laps
-    /// of one block are separated by writes to the others and hot subpages
-    /// are overwritten (rather than migrated) in between.
-    pub subpage_gc_batch: u32,
     /// Hot/cold handling in subpage-region GC.
     pub eviction_policy: EvictionPolicy,
     /// Run garbage collection in host idle windows (an extension beyond
@@ -183,12 +184,9 @@ impl FtlConfig {
             retention: RetentionModel::paper_default(),
             overprovision: 0.25,
             write_buffer_sectors: 2048, // 8 MiB
-            gc_free_watermark: 2,
             subpage_region_fraction: 0.20,
             retention_threshold: SimDuration::from_days(15),
-            retention_scan_interval: SimDuration::from_days(1),
             wear_delta_threshold: 20,
-            subpage_gc_batch: 0,
             eviction_policy: EvictionPolicy::SecondChance,
             background_gc: false,
             planes_per_chip: 1,
@@ -261,15 +259,12 @@ impl FtlConfig {
                 self.subpage_region_fraction
             ));
         }
-        if self.gc_free_watermark < 2 {
-            return Err("gc_free_watermark must be at least 2".into());
-        }
         if self.write_buffer_sectors == 0 {
             return Err("write_buffer_sectors must be non-zero".into());
         }
         let full_fraction = 1.0 - self.subpage_region_fraction;
         let full_sectors = (self.geometry.subpage_count() as f64 * full_fraction) as u64;
-        let watermark_sectors = u64::from(self.gc_free_watermark + 2)
+        let watermark_sectors = u64::from(GC_FREE_WATERMARK + 2)
             * u64::from(self.geometry.pages_per_block)
             * u64::from(self.geometry.subpages_per_page);
         if self.logical_sectors() + watermark_sectors > full_sectors {
@@ -521,14 +516,5 @@ mod tests {
             ..FtlConfig::paper_default()
         };
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn validate_rejects_tiny_watermark() {
-        let cfg = FtlConfig {
-            gc_free_watermark: 1,
-            ..FtlConfig::paper_default()
-        };
-        assert!(cfg.validate().is_err());
     }
 }

@@ -14,7 +14,7 @@ use esp_workload::SECTORS_PER_PAGE;
 
 use crate::block_pool::{window_fits_erase, BlockPool, Refill};
 use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
-use crate::config::FtlConfig;
+use crate::config::{FtlConfig, GC_FREE_WATERMARK};
 use crate::gc_policy::GcPolicyKind;
 use crate::map_cache::{MapCache, MapCacheStats};
 use crate::read_path::{self, note_read_result, ReadReliability};
@@ -135,7 +135,7 @@ impl FgmFtl {
             logical_sectors,
             pages_per_block: g.pages_per_block,
             nsub: g.subpages_per_page,
-            watermark: config.gc_free_watermark,
+            watermark: GC_FREE_WATERMARK,
             background_gc: config.background_gc,
             gc_policy: config.gc_policy,
             map_cache,
@@ -336,15 +336,32 @@ impl FgmFtl {
                 // stay on flash; this half-done collection dies with DRAM.
                 return now;
             }
-            for (slot, r) in self.slots_scratch.iter().enumerate() {
-                if self.pool.is_valid(victim, page * self.nsub + slot as u32) {
-                    let oob = r.as_ref().expect("valid subpage must be readable");
-                    debug_assert_eq!(
-                        self.l2p[oob.lsn as usize],
-                        self.pack(victim, page, slot as u32),
-                        "validity bitmap out of sync with l2p"
-                    );
-                    survivors.push((oob.lsn, oob.seq));
+            for slot in 0..self.nsub {
+                if !self.pool.is_valid(victim, page * self.nsub + slot) {
+                    continue;
+                }
+                let packed = self.pack(victim, page, slot);
+                match self.slots_scratch[slot as usize] {
+                    Ok(oob) => {
+                        debug_assert_eq!(
+                            self.l2p[oob.lsn as usize], packed,
+                            "validity bitmap out of sync with l2p"
+                        );
+                        survivors.push((oob.lsn, oob.seq));
+                    }
+                    Err(fault) => {
+                        // The ladder could not recover it: count the loss
+                        // once and drop the mapping, found in the map since
+                        // the spare area is unreadable.
+                        let lsn = self
+                            .l2p
+                            .iter()
+                            .position(|&p| p == packed)
+                            .expect("valid subpage is mapped");
+                        note_read_result(&Err(fault), lsn as u64, &mut self.stats);
+                        self.l2p[lsn] = NO_PTR;
+                        self.pool.invalidate(victim, page * self.nsub + slot);
+                    }
                 }
             }
         }

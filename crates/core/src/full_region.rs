@@ -38,8 +38,10 @@ use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
 use crate::block_pool::{BlockPool, Refill};
+use crate::config::GC_FREE_WATERMARK;
 use crate::eol::SpaceExhausted;
 use crate::gc_policy::GcPolicyKind;
+use crate::read_path::note_read_result;
 use crate::stats::FtlStats;
 
 const NO_PTR: u32 = u32::MAX;
@@ -87,19 +89,13 @@ impl FullRegionEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `gbis` is empty or the watermark leaves no usable space.
+    /// Panics if `gbis` is empty or the GC watermark leaves no usable space.
     #[must_use]
-    pub fn new(
-        gbis: Vec<u32>,
-        pages_per_block: u32,
-        blocks_per_chip: u32,
-        lpn_count: u64,
-        watermark: u32,
-    ) -> Self {
+    pub fn new(gbis: Vec<u32>, pages_per_block: u32, blocks_per_chip: u32, lpn_count: u64) -> Self {
         assert!(!gbis.is_empty(), "full region needs at least one block");
         assert!(
-            gbis.len() as u32 > watermark,
-            "watermark {watermark} leaves no usable blocks"
+            gbis.len() as u32 > GC_FREE_WATERMARK,
+            "watermark {GC_FREE_WATERMARK} leaves no usable blocks"
         );
         assert!(blocks_per_chip > 0, "blocks_per_chip must be non-zero");
         let chips = gbis
@@ -111,7 +107,7 @@ impl FullRegionEngine {
         FullRegionEngine {
             pool: BlockPool::new(&gbis, pages_per_block, 1, blocks_per_chip, chips),
             l2p: vec![NO_PTR; lpn_count as usize],
-            watermark,
+            watermark: GC_FREE_WATERMARK,
             wear_leveling: false,
             gc_policy: GcPolicyKind::Greedy,
             exhausted: false,
@@ -562,30 +558,53 @@ impl FullRegionEngine {
                 return now;
             }
             // Recover the LPN from the spare area of any data slot.
-            let lpn = self
+            let from_oob = self
                 .slots_scratch
                 .iter()
-                .find_map(|r| r.as_ref().ok().map(|o| o.lsn / u64::from(SECTORS_PER_PAGE)))
-                .expect("valid page with no data slots");
-            let here = Some(PagePtr {
-                block: victim,
-                page,
-            });
-            debug_assert_eq!(self.lookup(lpn), here, "valid bitmap and L2P out of sync");
-            let mut oobs = std::mem::take(&mut self.oobs_scratch);
-            oobs.clear();
-            oobs.extend(self.slots_scratch.iter().map(|r| r.as_ref().ok().copied()));
-            let data_sectors = oobs.iter().flatten().count() as u64;
-            now = self.program_internal(lpn, &oobs, ssd, stats, read_done);
-            self.oobs_scratch = oobs;
-            if self.lookup(lpn) == here {
-                // Relocation could not land anywhere (absolute exhaustion):
-                // abort the collection before the erase below can destroy
-                // the only valid copy. The victim stays as it is.
-                return now;
+                .find_map(|r| r.as_ref().ok().map(|o| o.lsn / u64::from(SECTORS_PER_PAGE)));
+            let lpn = if let Some(lpn) = from_oob {
+                let here = Some(PagePtr {
+                    block: victim,
+                    page,
+                });
+                debug_assert_eq!(self.lookup(lpn), here, "valid bitmap and L2P out of sync");
+                let mut oobs = std::mem::take(&mut self.oobs_scratch);
+                oobs.clear();
+                oobs.extend(self.slots_scratch.iter().map(|r| r.as_ref().ok().copied()));
+                let data_sectors = oobs.iter().flatten().count() as u64;
+                now = self.program_internal(lpn, &oobs, ssd, stats, read_done);
+                self.oobs_scratch = oobs;
+                if self.lookup(lpn) == here {
+                    // Relocation could not land anywhere (absolute
+                    // exhaustion): abort the collection before the erase
+                    // below can destroy the only valid copy. The victim
+                    // stays as it is.
+                    return now;
+                }
+                stats.gc_copied_sectors += data_sectors;
+                stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
+                lpn
+            } else {
+                // The ladder could read no slot, so the spare area cannot
+                // name the LPN: find it in the map (this only runs once
+                // data is already lost) and drop the mapping.
+                let packed = victim * self.pool.pages_per_block() + page;
+                let lpn = self
+                    .l2p
+                    .iter()
+                    .position(|&p| p == packed)
+                    .expect("valid page is mapped") as u64;
+                self.unmap(lpn);
+                now = read_done;
+                lpn
+            };
+            // Every data slot the relocation could not carry is lost: count
+            // it here, since no later read of the moved page can see it.
+            for (slot, r) in self.slots_scratch.iter().enumerate() {
+                if r.is_err() {
+                    note_read_result(r, lpn * u64::from(SECTORS_PER_PAGE) + slot as u64, stats);
+                }
             }
-            stats.gc_copied_sectors += data_sectors;
-            stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
         }
         // An erase failure retires the block; every valid page was copied
         // out above, so nothing is lost and the caller's loop simply picks
@@ -723,13 +742,8 @@ mod tests {
         let g = Geometry::tiny(); // 16 blocks of 4 pages
         let ssd = Ssd::new(g.clone());
         // Use all 16 blocks, logical space of 32 lpns (half of physical).
-        let engine = FullRegionEngine::new(
-            (0..16).collect(),
-            g.pages_per_block,
-            g.blocks_per_chip,
-            32,
-            2,
-        );
+        let engine =
+            FullRegionEngine::new((0..16).collect(), g.pages_per_block, g.blocks_per_chip, 32);
         (ssd, engine, FtlStats::new())
     }
 
@@ -869,8 +883,7 @@ mod tests {
     fn donation_refuses_below_watermark() {
         let g = Geometry::tiny();
         let ssd = Ssd::new(g.clone());
-        let mut eng =
-            FullRegionEngine::new(vec![0, 1, 2], g.pages_per_block, g.blocks_per_chip, 4, 2);
+        let mut eng = FullRegionEngine::new(vec![0, 1, 2], g.pages_per_block, g.blocks_per_chip, 4);
         // 3 free blocks, watermark 2: can donate exactly one.
         assert!(eng.donate_free_block(&ssd).is_some());
         assert!(eng.donate_free_block(&ssd).is_none());
@@ -919,7 +932,7 @@ mod tests {
             })
             .collect();
         let mut restored =
-            FullRegionEngine::new((0..16).collect(), 4, ssd.geometry().blocks_per_chip, 32, 2);
+            FullRegionEngine::new((0..16).collect(), 4, ssd.geometry().blocks_per_chip, 32);
         restored.restore_state(&programmed, &mappings);
         assert_eq!(restored.pool.valid_units(), 8);
         for lpn in 0..8 {
@@ -951,7 +964,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let mut eng = FullRegionEngine::new((0..4).collect(), 4, 4, 8, 2);
+        let mut eng = FullRegionEngine::new((0..4).collect(), 4, 4, 8);
         eng.restore_state(&[2, 1, 0, 0], &[]);
         assert_eq!(eng.pool.free_blocks(), 2);
         // One of the two partials was closed: it is a GC candidate once a
@@ -970,7 +983,7 @@ mod tests {
             ssd.erase(g.block_addr(0), SimTime::ZERO).unwrap();
         }
         let mut eng =
-            FullRegionEngine::new(vec![0, 1, 2, 3], g.pages_per_block, g.blocks_per_chip, 4, 2);
+            FullRegionEngine::new(vec![0, 1, 2, 3], g.pages_per_block, g.blocks_per_chip, 4);
         let donated = eng.donate_coldest_free_block(&ssd).unwrap();
         assert_ne!(donated, 0, "coldest donation must avoid the worn block");
         assert_eq!(eng.coldest_free_pe(&ssd), Some(0));
@@ -987,13 +1000,8 @@ mod tests {
         });
         // Failed attempts burn pages, so keep utilization low enough that
         // GC always nets space even when copies retry.
-        let mut eng = FullRegionEngine::new(
-            (0..16).collect(),
-            g.pages_per_block,
-            g.blocks_per_chip,
-            16,
-            2,
-        );
+        let mut eng =
+            FullRegionEngine::new((0..16).collect(), g.pages_per_block, g.blocks_per_chip, 16);
         let mut stats = FtlStats::new();
         let mut now = SimTime::ZERO;
         for round in 0..8 {
@@ -1025,13 +1033,8 @@ mod tests {
         });
         // Small logical space (4 blocks of data over 16 physical) so GC can
         // afford to lose several blocks to grown-bad retirement.
-        let mut eng = FullRegionEngine::new(
-            (0..16).collect(),
-            g.pages_per_block,
-            g.blocks_per_chip,
-            16,
-            2,
-        );
+        let mut eng =
+            FullRegionEngine::new((0..16).collect(), g.pages_per_block, g.blocks_per_chip, 16);
         let mut stats = FtlStats::new();
         let mut now = SimTime::ZERO;
         for round in 0..6 {
@@ -1153,13 +1156,8 @@ mod tests {
     /// programmed full (pages past the valid prefix are stale data).
     fn staged(ssd: &mut Ssd, mapped: &[u32]) -> FullRegionEngine {
         let g = ssd.geometry().clone();
-        let mut eng = FullRegionEngine::new(
-            (0..8).collect(),
-            g.pages_per_block,
-            g.blocks_per_chip,
-            32,
-            2,
-        );
+        let mut eng =
+            FullRegionEngine::new((0..8).collect(), g.pages_per_block, g.blocks_per_chip, 32);
         let mut programmed = vec![0u32; 8];
         let mut mappings = Vec::new();
         for (b, &valid) in mapped.iter().enumerate() {
@@ -1282,13 +1280,8 @@ mod tests {
             erase_fail_prob: 0.95,
             ..esp_nand::FaultConfig::default()
         });
-        let mut eng = FullRegionEngine::new(
-            (0..16).collect(),
-            g.pages_per_block,
-            g.blocks_per_chip,
-            16,
-            2,
-        );
+        let mut eng =
+            FullRegionEngine::new((0..16).collect(), g.pages_per_block, g.blocks_per_chip, 16);
         let mut stats = FtlStats::new();
         let mut now = SimTime::ZERO;
         let mut died = None;

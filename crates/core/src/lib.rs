@@ -71,7 +71,6 @@ mod tenant;
 #[cfg(test)]
 mod test_fixtures;
 
-pub use buffer::{FlushChunk, WriteBuffer};
 pub use cgm::CgmFtl;
 pub use config::{EvictionPolicy, FtlConfig};
 pub use crash_harness::{
@@ -81,16 +80,16 @@ pub use eol::SpaceExhausted;
 pub use fgm::FgmFtl;
 pub use full_region::{FullRegionEngine, PagePtr};
 pub use gc_policy::GcPolicyKind;
-pub use map_cache::{MapCache, MapCacheConfig, MapCacheStats, ENTRIES_PER_TP};
+pub use map_cache::{MapCacheConfig, MapCacheStats};
 pub use report::{
-    latency_json, run_json, tenant_json, tenants_json, validate_bench, BenchReport,
-    BENCH_SCHEMA_NAME, BENCH_SCHEMA_VERSION, REQUIRED_RUN_FIELDS,
+    run_json, tenants_json, validate_bench, BenchReport, BENCH_SCHEMA_NAME, BENCH_SCHEMA_VERSION,
+    REQUIRED_RUN_FIELDS,
 };
-pub use runner::{device_wear_summary, precondition, run_trace, run_trace_qd, Ftl};
+pub use runner::{precondition, run_trace, run_trace_qd, Ftl};
 pub use sector_log::SectorLogFtl;
 pub use stats::{FtlStats, RunReport, WearSummary};
 pub use sub::SubFtl;
-pub use sub_map::{ProbeStats, SubEntry, SubpageMap};
+pub use sub_map::ProbeStats;
 pub use tenant::{
     run_tenants_qd, TenantConfig, TenantReport, TenantRunReport, TenantSet, DRR_QUANTUM_SECTORS,
 };

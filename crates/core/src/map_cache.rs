@@ -47,8 +47,8 @@ pub const ENTRIES_PER_TP: u64 = 4096;
 /// (`FtlConfig::map_cache`, espsim `--map-cache <pages>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapCacheConfig {
-    /// CMT capacity in cached translation pages (each caches
-    /// [`ENTRIES_PER_TP`] mapping entries ≈ 16 KB of map). Must be ≥ 2.
+    /// CMT capacity in cached translation pages (each caches 4,096
+    /// mapping entries ≈ 16 KB of map). Must be ≥ 2.
     pub cmt_pages: usize,
 }
 

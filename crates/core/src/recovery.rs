@@ -5,7 +5,7 @@
 //! spare (OOB) area stores the logical sector number and a monotonically
 //! increasing write sequence number ([`esp_nand::Oob`]), and the program
 //! history of every page is visible in the cell array. This module provides
-//! the mount-time *scan* shared by all three FTLs' `recover` constructors:
+//! the mount-time *scan* shared by all four FTLs' `recover` constructors:
 //! read every programmed page once (charged against the simulated clock —
 //! mount time is real time), classify each block, and report every readable
 //! data slot.

@@ -76,7 +76,7 @@ pub const REQUIRED_RUN_FIELDS: &[&str] = &[
 /// (`count`/`mean_ns`/`min_ns`/`max_ns`/`p50_ns`/`p95_ns`/`p99_ns`/
 /// `p999_ns`).
 #[must_use]
-pub fn latency_json(s: &LatencySummary) -> Json {
+fn latency_json(s: &LatencySummary) -> Json {
     Json::obj([
         ("count", Json::from(s.count)),
         ("mean_ns", Json::from(s.mean)),
@@ -217,7 +217,7 @@ pub fn run_json(label: &str, r: &RunReport) -> Json {
 /// `slo` object (`target_ns`/`samples`/`good`/`attainment`) appears when
 /// the tenant has an SLO configured.
 #[must_use]
-pub fn tenant_json(t: &TenantReport) -> Json {
+fn tenant_json(t: &TenantReport) -> Json {
     let mut members = vec![
         ("name".to_string(), Json::from(t.name.as_str())),
         ("weight".to_string(), Json::from(u64::from(t.weight))),
@@ -353,12 +353,6 @@ impl BenchReport {
                 Json::Arr(events.iter().map(TraceEvent::to_json).collect()),
             ));
         }
-    }
-
-    /// Number of run entries pushed so far.
-    #[must_use]
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
     }
 
     /// Renders the complete document.

@@ -318,7 +318,7 @@ pub fn run_trace_qd<F: Ftl + ?Sized>(ftl: &mut F, trace: &Trace, queue_depth: us
 /// every physical block). `shallow_erases` is the run's adaptive-erase
 /// delta, passed through verbatim.
 #[must_use]
-pub fn device_wear_summary(ssd: &Ssd, shallow_erases: u64) -> crate::stats::WearSummary {
+fn device_wear_summary(ssd: &Ssd, shallow_erases: u64) -> crate::stats::WearSummary {
     let dev = ssd.device();
     let g = ssd.geometry();
     let n = g.block_count();

@@ -22,7 +22,7 @@ use esp_workload::SECTORS_PER_PAGE;
 
 use crate::block_pool::{window_fits_erase, BlockPool, Refill};
 use crate::buffer::{FlushChunk, Front, FrontEnd, WriteBuffer};
-use crate::config::FtlConfig;
+use crate::config::{FtlConfig, GC_FREE_WATERMARK};
 use crate::full_region::FullRegionEngine;
 use crate::gc_policy::GcPolicyKind;
 use crate::read_path::{self, note_read_result, read_sectors_coarse, FineMap, ReadReliability};
@@ -58,7 +58,6 @@ pub struct SectorLogFtl {
     logical_sectors: u64,
     pages_per_block: u32,
     nsub: u32,
-    watermark: u32,
     /// Victim-selection policy for log-merge GC (the data region's engine
     /// carries its own copy).
     gc_policy: GcPolicyKind,
@@ -116,13 +115,7 @@ impl SectorLogFtl {
         }
         let logical_sectors = config.logical_sectors();
         let lpn_count = logical_sectors / u64::from(SECTORS_PER_PAGE);
-        let mut data = FullRegionEngine::new(
-            data_gbis,
-            g.pages_per_block,
-            bpc,
-            lpn_count,
-            config.gc_free_watermark,
-        );
+        let mut data = FullRegionEngine::new(data_gbis, g.pages_per_block, bpc, lpn_count);
         data.set_wear_leveling(config.wear_leveling);
         data.set_gc_policy(config.gc_policy);
         let log = BlockPool::new(
@@ -144,7 +137,6 @@ impl SectorLogFtl {
             logical_sectors,
             pages_per_block: g.pages_per_block,
             nsub: g.subpages_per_page,
-            watermark: config.gc_free_watermark,
             gc_policy: config.gc_policy,
             background_gc: config.background_gc,
             wear_leveling: config.wear_leveling,
@@ -450,7 +442,7 @@ impl SectorLogFtl {
 
     fn ensure_log_space(&mut self, issue: SimTime) -> SimTime {
         let mut now = issue;
-        while !self.ssd.halted() && self.log.free_blocks() < self.watermark {
+        while !self.ssd.halted() && self.log.free_blocks() < GC_FREE_WATERMARK {
             // A shrunken log region (retired bad blocks) may dip below the
             // watermark before any block has filled; merge what exists and
             // let the allocator keep appending to the open blocks.
@@ -505,10 +497,26 @@ impl SectorLogFtl {
                 // they are on flash; this half-done merge dies with DRAM.
                 return Some(now);
             }
-            for (slot, r) in self.slots_scratch.iter().enumerate() {
-                if self.log.is_valid(victim, page * self.nsub + slot as u32) {
-                    let oob = r.as_ref().expect("valid log sector must be readable");
-                    lpns.push(oob.lsn / u64::from(SECTORS_PER_PAGE));
+            for slot in 0..self.nsub {
+                if !self.log.is_valid(victim, page * self.nsub + slot) {
+                    continue;
+                }
+                match self.slots_scratch[slot as usize] {
+                    Ok(oob) => lpns.push(oob.lsn / u64::from(SECTORS_PER_PAGE)),
+                    Err(fault) => {
+                        // The ladder could not recover it: count the loss
+                        // once and drop the log mapping, found in the map
+                        // since the spare area is unreadable.
+                        let (lsn, _) = self
+                            .log_map
+                            .iter()
+                            .find(|(_, e)| {
+                                (e.block, e.page, u32::from(e.slot)) == (victim, page, slot)
+                            })
+                            .expect("valid log sector is mapped");
+                        note_read_result(&Err(fault), lsn, &mut self.stats);
+                        self.unmap_log(lsn);
+                    }
                 }
             }
         }
@@ -819,13 +827,13 @@ impl Ftl for SectorLogFtl {
             &mut self.stats,
             from,
             until,
-            self.watermark + 2,
+            GC_FREE_WATERMARK + 2,
         );
         use esp_nand::OpKind;
         let per_page = self.ssd.device().op_cost(OpKind::ReadFull).total()
             + self.ssd.device().op_cost(OpKind::ProgramFull).total();
         let erase = self.ssd.device().op_cost(OpKind::Erase).total();
-        while !self.ssd.halted() && self.log.free_blocks() < self.watermark + 2 {
+        while !self.ssd.halted() && self.log.free_blocks() < GC_FREE_WATERMARK + 2 {
             let Some(victim) = self
                 .log
                 .gc_victim(&self.ssd, self.gc_policy, self.wear_leveling)

@@ -36,6 +36,9 @@ use crate::runner::Ftl;
 use crate::stats::FtlStats;
 use crate::sub_map::{SubEntry, SubpageMap};
 
+/// How often maintenance scans the subpage region for over-age subpages.
+const RETENTION_SCAN_INTERVAL: SimDuration = SimDuration::from_days(1);
+
 /// One block of the subpage region.
 #[derive(Debug, Clone)]
 struct SubBlock {
@@ -112,13 +115,11 @@ pub struct SubFtl {
     pages_per_block: u32,
     nsub: u32,
     retention_threshold: SimDuration,
-    scan_interval: SimDuration,
     last_scan: SimTime,
     wear_delta: u32,
     /// Device erase count at which the next full-region wear-spread check
     /// runs (the spread only changes on erases, so checks are metered).
     next_wear_check: u64,
-    gc_batch: u32,
     eviction: EvictionPolicy,
     background_gc: bool,
     /// Victim-selection policy for subpage-region GC (the full-page
@@ -178,13 +179,8 @@ impl SubFtl {
         }
         let logical_sectors = config.logical_sectors();
         let lpn_count = logical_sectors / u64::from(SECTORS_PER_PAGE);
-        let mut full = FullRegionEngine::new(
-            full_gbis,
-            g.pages_per_block,
-            g.blocks_per_chip,
-            lpn_count,
-            config.gc_free_watermark,
-        );
+        let mut full =
+            FullRegionEngine::new(full_gbis, g.pages_per_block, g.blocks_per_chip, lpn_count);
         full.set_wear_leveling(config.wear_leveling);
         full.set_gc_policy(config.gc_policy);
         let blocks: Vec<SubBlock> = sub_gbis
@@ -282,13 +278,7 @@ impl SubFtl {
         let logical_sectors = config.logical_sectors();
         let page_sz = u64::from(SECTORS_PER_PAGE);
         let lpn_count = logical_sectors / page_sz;
-        let mut full = FullRegionEngine::new(
-            full_gbis.clone(),
-            g.pages_per_block,
-            bpc,
-            lpn_count,
-            config.gc_free_watermark,
-        );
+        let mut full = FullRegionEngine::new(full_gbis.clone(), g.pages_per_block, bpc, lpn_count);
         full.set_wear_leveling(config.wear_leveling);
         full.set_gc_policy(config.gc_policy);
 
@@ -485,11 +475,9 @@ impl SubFtl {
             pages_per_block: g.pages_per_block,
             nsub: g.subpages_per_page,
             retention_threshold: config.retention_threshold,
-            scan_interval: config.retention_scan_interval,
             last_scan: SimTime::ZERO,
             wear_delta: config.wear_delta_threshold,
             next_wear_check: 0,
-            gc_batch: config.subpage_gc_batch,
             eviction: config.eviction_policy,
             background_gc: config.background_gc,
             gc_policy: config.gc_policy,
@@ -766,20 +754,15 @@ impl SubFtl {
             // Nothing writable and nothing to collect: the region is wedged
             // (end of life), degrade instead of panicking.
             self.collectable().next()?;
-            let batch = if self.gc_batch == 0 {
-                self.blocks.len() as u32
-            } else {
-                self.gc_batch
-            };
-            // Reclaim a batch of *profitable* victims (at most half their
-            // pages still valid) so that several blocks re-enter the write
+            // Reclaim every *profitable* victim (at most half its pages
+            // still valid) so that several blocks re-enter the write
             // rotation at once: with laps of different blocks interleaved,
             // hot subpages are overwritten between laps instead of being
             // migrated at every lap. Dense blocks stay parked until their
             // entries go stale. At least one victim (the min-valid block)
             // is always collected so progress is guaranteed.
             let mut collected = 0u32;
-            while collected < batch && self.reserve_usable() {
+            while collected < self.blocks.len() as u32 && self.reserve_usable() {
                 let Some(min_valid) = self.min_collectable_valid() else {
                     break;
                 };
@@ -1475,9 +1458,12 @@ impl SubFtl {
             from_blocks += u64::from(b.valid_count);
         }
         assert_eq!(from_blocks, self.hash.len() as u64);
+        // When no erased block is left to replace a lost reserve,
+        // `replace_reserve` latches end of life and the reserve stays
+        // unusable; until then it must be erased.
         assert!(
-            self.blocks[self.reserve as usize].is_erased(),
-            "reserve must stay erased"
+            self.reliability.end_of_life() || self.blocks[self.reserve as usize].is_erased(),
+            "reserve must stay erased before end of life"
         );
         self.full.check_invariants();
     }
@@ -1671,7 +1657,7 @@ impl Ftl for SubFtl {
                 self.sub_wear_rotate(now);
             }
         }
-        if now.saturating_since(self.last_scan) < self.scan_interval {
+        if now.saturating_since(self.last_scan) < RETENTION_SCAN_INTERVAL {
             return;
         }
         self.last_scan = now;
@@ -2204,5 +2190,6 @@ mod tests {
         assert!(!ftl.reserve_usable(), "the run must lose the reserve");
         assert!(ftl.end_of_life());
         assert_eq!(report.stats.read_faults, 0);
+        ftl.check_invariants();
     }
 }

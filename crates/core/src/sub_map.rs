@@ -100,20 +100,6 @@ impl ProbeStats {
 
 /// Fixed-capacity open-addressing hash map from logical sector numbers to
 /// [`SubEntry`] (see module docs).
-///
-/// # Examples
-///
-/// ```
-/// use esp_core::{SubEntry, SubpageMap};
-/// use esp_sim::SimTime;
-///
-/// let mut map = SubpageMap::with_capacity(64);
-/// let e = SubEntry { block: 1, page: 2, slot: 3, updated: false, written_at: SimTime::ZERO };
-/// map.insert(42, e);
-/// assert_eq!(map.get(42), Some(e));
-/// // 20 bytes/slot at 1.25x headroom:
-/// assert_eq!(map.memory_bytes(), (64 * 5 / 4 + 1) * 20);
-/// ```
 #[derive(Debug, Clone)]
 pub struct SubpageMap {
     keys: Vec<u64>,
@@ -155,12 +141,6 @@ impl SubpageMap {
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if no entries are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Exact memory footprint of the backing arrays in bytes
@@ -339,14 +319,14 @@ mod tests {
     #[test]
     fn insert_get_remove_round_trip() {
         let mut m = SubpageMap::with_capacity(16);
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
         assert_eq!(m.insert(5, e(1)), None);
         assert_eq!(m.insert(5, e(2)), Some(e(1)));
         assert_eq!(m.get(5), Some(e(2)));
         assert_eq!(m.len(), 1);
         assert_eq!(m.remove(5), Some(e(2)));
         assert_eq!(m.get(5), None);
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
         assert_eq!(m.remove(5), None);
     }
 
@@ -455,6 +435,9 @@ mod tests {
         let m = SubpageMap::with_capacity(1000);
         // 1251 slots x (8 + 12) bytes.
         assert_eq!(m.memory_bytes(), 1251 * 20);
+        // 1.25x headroom plus one slot.
+        let m = SubpageMap::with_capacity(64);
+        assert_eq!(m.memory_bytes(), (64 * 5 / 4 + 1) * 20);
     }
 
     #[test]

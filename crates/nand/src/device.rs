@@ -176,14 +176,6 @@ pub struct DeviceStats {
     pub shallow_erases: u64,
 }
 
-impl DeviceStats {
-    /// Total program operations of either kind.
-    #[must_use]
-    pub fn total_programs(&self) -> u64 {
-        self.full_programs + self.subpage_programs
-    }
-}
-
 /// A behavioural model of a multi-chip NAND subsystem.
 ///
 /// # Examples
@@ -321,12 +313,6 @@ impl NandDevice {
         self.faults = Some(model);
     }
 
-    /// The installed fault configuration, if any.
-    #[must_use]
-    pub fn fault_config(&self) -> Option<&FaultConfig> {
-        self.faults.as_ref().map(FaultModel::config)
-    }
-
     /// True if the block at `addr` is marked bad (factory or grown).
     ///
     /// # Panics
@@ -346,16 +332,6 @@ impl NandDevice {
             .filter(|(_, b)| b.bad)
             .map(|(i, _)| i as u32)
             .collect()
-    }
-
-    /// Marks a block bad directly (manufacturing defect / test hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is outside the geometry.
-    pub fn mark_bad(&mut self, addr: BlockAddr) {
-        let idx = self.geometry.block_index(addr) as usize;
-        self.blocks[idx].bad = true;
     }
 
     /// Device geometry.
@@ -520,7 +496,7 @@ impl NandDevice {
         self.note_op_executed();
         // The fault stream is consulted only after the command proved legal,
         // so illegal commands never advance (or even require) the RNG.
-        if self.draw_program_fault(pe) {
+        if self.draw_program_fault() {
             let n_sub = self.geometry.subpages_per_page;
             let failed = &mut self.blocks[self.geometry.block_index(page.block) as usize];
             for slot in 0..n_sub {
@@ -570,7 +546,7 @@ impl NandDevice {
         self.stats.subpages_destroyed += destroyed.len() as u64;
         self.note_op_executed();
         // Consulted only after the command proved legal (see program_full).
-        if self.draw_program_fault(pe) {
+        if self.draw_program_fault() {
             let idx = self.geometry.block_index(addr.page.block) as usize;
             self.blocks[idx].pages[addr.page.page as usize].destroy_subpage(addr.slot);
             self.stats.program_failures += 1;
@@ -619,22 +595,11 @@ impl NandDevice {
     }
 
     /// Reads every subpage of `page` in one cell sense (the full-page read
-    /// path), reporting per-slot results plus the page's effort — the
-    /// componentwise maximum over its slots, since retry steps re-sense the
-    /// whole page. The disturb accumulator is charged once, not per slot.
-    pub fn read_full_with_effort(
-        &mut self,
-        page: PageAddr,
-        now: SimTime,
-    ) -> (Vec<Result<Oob, ReadFault>>, ReadEffort) {
-        let mut results = Vec::new();
-        let effort = self.read_full_with_effort_into(page, now, &mut results);
-        (results, effort)
-    }
-
-    /// Allocation-free variant of [`NandDevice::read_full_with_effort`]:
-    /// clears `out` and fills it with the per-slot results, so steady-state
-    /// read loops can reuse one buffer.
+    /// path): clears `out` and fills it with the per-slot results, so
+    /// steady-state read loops can reuse one buffer. Returns the page's
+    /// effort — the componentwise maximum over its slots, since retry steps
+    /// re-sense the whole page. The disturb accumulator is charged once,
+    /// not per slot.
     pub fn read_full_with_effort_into(
         &mut self,
         page: PageAddr,
@@ -796,7 +761,7 @@ impl NandDevice {
             EraseDepth::Deep
         };
         // Consulted only after the command proved legal (see program_full).
-        let failed = self.draw_erase_fault(pe);
+        let failed = self.draw_erase_fault();
         let block = self.block_mut(addr).expect("address already validated");
         for page in &mut block.pages {
             page.erase();
@@ -924,18 +889,12 @@ impl NandDevice {
         Ok(())
     }
 
-    fn draw_program_fault(&mut self, pe_cycles: u32) -> bool {
-        match &mut self.faults {
-            Some(f) => f.program_fails(pe_cycles, &self.retention),
-            None => false,
-        }
+    fn draw_program_fault(&mut self) -> bool {
+        self.faults.as_mut().is_some_and(FaultModel::program_fails)
     }
 
-    fn draw_erase_fault(&mut self, pe_cycles: u32) -> bool {
-        match &mut self.faults {
-            Some(f) => f.erase_fails(pe_cycles, &self.retention),
-            None => false,
-        }
+    fn draw_erase_fault(&mut self) -> bool {
+        self.faults.as_mut().is_some_and(FaultModel::erase_fails)
     }
 
     /// Pre-ages every block to `pe_cycles` without touching page contents.
@@ -954,12 +913,14 @@ impl NandDevice {
 
     /// Forces the next and all subsequent reads of `addr` to fail with
     /// [`ReadFault::Injected`] until [`NandDevice::clear_fault`] is called.
-    pub fn inject_read_fault(&mut self, addr: SubpageAddr) {
+    #[cfg(test)]
+    fn inject_read_fault(&mut self, addr: SubpageAddr) {
         self.forced_faults.insert(addr);
     }
 
     /// Removes an injected fault.
-    pub fn clear_fault(&mut self, addr: SubpageAddr) {
+    #[cfg(test)]
+    fn clear_fault(&mut self, addr: SubpageAddr) {
         self.forced_faults.remove(&addr);
     }
 
@@ -1145,7 +1106,8 @@ mod tests {
         let page = blk.page(0);
         d.program_full(page, &[Some(oob(1)); 4], SimTime::ZERO)
             .unwrap();
-        let (results, effort) = d.read_full_with_effort(page, SimTime::ZERO);
+        let mut results = Vec::new();
+        let effort = d.read_full_with_effort_into(page, SimTime::ZERO, &mut results);
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(Result::is_ok));
         assert!(effort.is_free());
@@ -1273,8 +1235,13 @@ mod tests {
     #[test]
     fn bad_blocks_reject_program_and_erase() {
         let mut d = dev();
-        let blk = d.geometry().block_addr(2);
-        d.mark_bad(blk);
+        d.set_faults(crate::FaultConfig {
+            factory_bad_blocks: 1,
+            ..crate::FaultConfig::default()
+        });
+        let bad = d.bad_block_indices();
+        assert_eq!(bad.len(), 1);
+        let blk = d.geometry().block_addr(bad[0]);
         assert!(d.is_bad(blk));
         assert_eq!(
             d.program_full(blk.page(0), &[None; 4], SimTime::ZERO),
@@ -1285,7 +1252,7 @@ mod tests {
             Err(NandError::BadBlock)
         );
         assert_eq!(d.erase(blk, SimTime::ZERO), Err(NandError::BadBlock));
-        assert_eq!(d.bad_block_indices(), vec![2]);
+        assert_eq!(d.bad_block_indices(), bad);
         // No operation was actually performed.
         assert_eq!(d.stats().full_programs, 0);
         assert_eq!(d.stats().erases, 0);

@@ -56,7 +56,7 @@ impl EccConfig {
     /// Mean raw bit errors per codeword the engine can correct, expressed
     /// as a raw BER threshold.
     #[must_use]
-    pub fn raw_ber_limit(&self) -> f64 {
+    fn raw_ber_limit(&self) -> f64 {
         f64::from(self.correctable_bits) / (f64::from(self.codeword_bytes) * 8.0)
     }
 

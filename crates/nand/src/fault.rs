@@ -17,8 +17,6 @@
 
 use esp_sim::Rng;
 
-use crate::reliability::RetentionModel;
-
 /// Configuration of the injected-fault model.
 ///
 /// # Examples
@@ -41,9 +39,6 @@ pub struct FaultConfig {
     /// Number of factory-marked bad blocks, placed deterministically from
     /// the seed across the whole device.
     pub factory_bad_blocks: u32,
-    /// When true, failure probabilities scale with block wear (the
-    /// [`RetentionModel::pe_factor`] curve), so worn blocks fail more often.
-    pub wear_coupling: bool,
     /// Whole-device death: the device bricks itself after executing this
     /// many NAND commands (programs, reads, erases — the same executed-op
     /// count that advances the fault stream). `None` disables the mode.
@@ -61,7 +56,6 @@ impl Default for FaultConfig {
             program_fail_prob: 0.0,
             erase_fail_prob: 0.0,
             factory_bad_blocks: 0,
-            wear_coupling: false,
             die_at_op: None,
             die_at_pe: None,
         }
@@ -141,28 +135,16 @@ impl FaultModel {
         picked
     }
 
-    fn effective(&self, base: f64, pe_cycles: u32, retention: &RetentionModel) -> f64 {
-        if self.config.wear_coupling {
-            // pe_factor grows from fresh_factor toward (and past) 1.0 with
-            // wear, so worn blocks see proportionally more faults.
-            (base * retention.pe_factor(pe_cycles)).min(1.0)
-        } else {
-            base
-        }
+    /// Draws whether a program operation reports status fail. Consumes
+    /// exactly one RNG draw.
+    pub fn program_fails(&mut self) -> bool {
+        self.rng.chance(self.config.program_fail_prob)
     }
 
-    /// Draws whether a program operation on a block with `pe_cycles` wear
-    /// reports status fail. Consumes exactly one RNG draw.
-    pub fn program_fails(&mut self, pe_cycles: u32, retention: &RetentionModel) -> bool {
-        let p = self.effective(self.config.program_fail_prob, pe_cycles, retention);
-        self.rng.chance(p)
-    }
-
-    /// Draws whether an erase operation on a block with `pe_cycles` wear
-    /// reports status fail. Consumes exactly one RNG draw.
-    pub fn erase_fails(&mut self, pe_cycles: u32, retention: &RetentionModel) -> bool {
-        let p = self.effective(self.config.erase_fail_prob, pe_cycles, retention);
-        self.rng.chance(p)
+    /// Draws whether an erase operation reports status fail. Consumes
+    /// exactly one RNG draw.
+    pub fn erase_fails(&mut self) -> bool {
+        self.rng.chance(self.config.erase_fail_prob)
     }
 }
 
@@ -170,17 +152,12 @@ impl FaultModel {
 mod tests {
     use super::*;
 
-    fn retention() -> RetentionModel {
-        RetentionModel::paper_default()
-    }
-
     #[test]
     fn default_config_never_fails() {
         let mut m = FaultModel::new(FaultConfig::default());
-        let r = retention();
         for _ in 0..10_000 {
-            assert!(!m.program_fails(1000, &r));
-            assert!(!m.erase_fails(1000, &r));
+            assert!(!m.program_fails());
+            assert!(!m.erase_fails());
         }
         assert!(m.factory_bad_blocks(64).is_empty());
     }
@@ -193,14 +170,13 @@ mod tests {
             erase_fail_prob: 0.02,
             ..FaultConfig::default()
         };
-        let r = retention();
         let draw = |mut m: FaultModel| -> Vec<bool> {
             (0..512)
                 .map(|i| {
                     if i % 3 == 0 {
-                        m.erase_fails(500, &r)
+                        m.erase_fails()
                     } else {
-                        m.program_fails(500, &r)
+                        m.program_fails()
                     }
                 })
                 .collect()
@@ -219,31 +195,10 @@ mod tests {
             program_fail_prob: 0.10,
             ..FaultConfig::default()
         });
-        let r = retention();
         let n = 20_000;
-        let fails = (0..n).filter(|_| m.program_fails(1000, &r)).count();
+        let fails = (0..n).filter(|_| m.program_fails()).count();
         let rate = fails as f64 / f64::from(n);
         assert!((rate - 0.10).abs() < 0.01, "observed rate {rate}");
-    }
-
-    #[test]
-    fn wear_coupling_raises_failure_rate_with_pe() {
-        let r = retention();
-        let rate_at = |pe: u32| {
-            let mut m = FaultModel::new(FaultConfig {
-                seed: 11,
-                program_fail_prob: 0.10,
-                wear_coupling: true,
-                ..FaultConfig::default()
-            });
-            (0..20_000).filter(|_| m.program_fails(pe, &r)).count()
-        };
-        let fresh = rate_at(0);
-        let worn = rate_at(3000);
-        assert!(
-            worn > fresh * 2,
-            "worn blocks must fail more: fresh {fresh}, worn {worn}"
-        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Geometry {
 
     /// Bytes per erase block.
     #[must_use]
-    pub fn block_bytes(&self) -> u64 {
+    fn block_bytes(&self) -> u64 {
         self.page_bytes() * u64::from(self.pages_per_block)
     }
 
@@ -120,7 +120,7 @@ impl Geometry {
 
     /// Total number of physical pages in the device.
     #[must_use]
-    pub fn page_count(&self) -> u64 {
+    fn page_count(&self) -> u64 {
         u64::from(self.block_count()) * u64::from(self.pages_per_block)
     }
 
@@ -132,7 +132,7 @@ impl Geometry {
 
     /// Raw device capacity in bytes.
     #[must_use]
-    pub fn capacity_bytes(&self) -> u64 {
+    fn capacity_bytes(&self) -> u64 {
         u64::from(self.block_count()) * self.block_bytes()
     }
 

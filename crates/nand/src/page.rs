@@ -107,7 +107,7 @@ impl Page {
     /// True if no further program operation is allowed before an erase
     /// (the page has been programmed `N_sub` times).
     #[must_use]
-    pub fn is_exhausted(&self) -> bool {
+    fn is_exhausted(&self) -> bool {
         u32::from(self.programs) >= self.subpage_count()
     }
 

@@ -163,7 +163,7 @@ impl RetentionModel {
     /// The deterministic per-block BER scale factor in
     /// `[1 - variation, 1 + variation]` (1.0 when variation is disabled).
     #[must_use]
-    pub fn block_factor(&self, block_index: u64) -> f64 {
+    fn block_factor(&self, block_index: u64) -> f64 {
         if self.variation == 0.0 {
             return 1.0;
         }
@@ -205,7 +205,7 @@ impl RetentionModel {
     /// Wear factor: grows linearly from `fresh_factor` at 0 cycles to 1.0 at
     /// the reference cycle count and keeps growing past it.
     #[must_use]
-    pub fn pe_factor(&self, pe_cycles: u32) -> f64 {
+    fn pe_factor(&self, pe_cycles: u32) -> f64 {
         let x = f64::from(pe_cycles) / f64::from(self.reference_pe);
         self.fresh_factor + (1.0 - self.fresh_factor) * x
     }
@@ -213,7 +213,7 @@ impl RetentionModel {
     /// `Npp` uplift: 1.0 at `Npp^0` rising to `1 + npp_max_uplift` at the
     /// anchor index (`Npp^3` for 4-subpage pages).
     #[must_use]
-    pub fn npp_factor(&self, npp: u32) -> f64 {
+    fn npp_factor(&self, npp: u32) -> f64 {
         if npp == 0 {
             return 1.0;
         }
@@ -223,7 +223,7 @@ impl RetentionModel {
 
     /// Time-degradation slope for an `Npp^k` subpage (per month^`time_exp`).
     #[must_use]
-    pub fn slope(&self, npp: u32) -> f64 {
+    fn slope(&self, npp: u32) -> f64 {
         let x = f64::from(npp) / f64::from(self.npp_anchor.max(1));
         self.slope_base + self.slope_max_uplift * x
     }
@@ -249,10 +249,10 @@ impl RetentionModel {
     /// blocks erase reliably with fewer, weaker pulses, so the controller
     /// picks a depth from the block's *effective* wear. The thresholds are
     /// conservative — a depth is only shallower than a full erase while the
-    /// block sits well below the reference endurance point, where
-    /// [`RetentionModel::pe_factor`] leaves ample margin to the ECC limit
-    /// for every `Npp` type, so retention capability is never the binding
-    /// constraint.
+    /// block sits well below the reference endurance point, where the wear
+    /// factor (`pe_factor` in the module docs) leaves ample margin to the
+    /// ECC limit for every `Npp` type, so retention capability is never the
+    /// binding constraint.
     #[must_use]
     pub fn erase_depth(&self, effective_pe: u32) -> EraseDepth {
         if effective_pe.saturating_mul(2) < self.reference_pe {
@@ -400,13 +400,6 @@ impl RetryLadder {
             return Err("retry ladder must have at least one rung".into());
         }
         Ok(())
-    }
-
-    /// The highest normalized BER any rung of the ladder can correct.
-    #[must_use]
-    pub fn max_correctable(&self, ecc_limit: f64) -> f64 {
-        let hard = self.step_uplift * f64::from(self.hard_steps);
-        ecc_limit * (1.0 + self.soft_uplift.max(hard))
     }
 
     /// The cheapest effort that corrects a read at `ber`, or `None` if even
@@ -622,7 +615,6 @@ mod tests {
         assert_eq!(soft, l.exhausted());
         // Past the soft rung: uncorrectable.
         assert!(l.effort_for(limit * 2.0 + 0.01, limit).is_none());
-        assert!((l.max_correctable(limit) - 4.8).abs() < 1e-12);
     }
 
     #[test]

@@ -196,15 +196,6 @@ impl HdrHistogram {
             p999: self.percentile(0.999),
         }
     }
-
-    /// Non-empty buckets as `(floor_value, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_floor(i), c))
-    }
 }
 
 impl fmt::Display for HdrHistogram {

@@ -60,7 +60,7 @@ impl Resource {
     ///
     /// Does not occupy the resource; use [`Resource::occupy`] to commit.
     #[must_use]
-    pub fn start_at(&self, earliest: SimTime) -> SimTime {
+    fn start_at(&self, earliest: SimTime) -> SimTime {
         self.next_free.max(earliest)
     }
 

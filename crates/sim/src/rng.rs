@@ -91,12 +91,6 @@ impl Rng {
         assert!(lo <= hi, "next_in range is inverted");
         lo + self.next_below(hi - lo + 1)
     }
-
-    /// Forks an independent generator, deterministically derived from this
-    /// one's state. Useful for giving each workload phase its own stream.
-    pub fn fork(&mut self) -> Rng {
-        Rng::seed_from(self.next_u64())
-    }
 }
 
 /// A Zipf(θ)-distributed sampler over `{0, 1, ..., n-1}` where rank 0 is the
@@ -169,12 +163,6 @@ impl Zipf {
             let b = n as f64;
             head + (b.powf(1.0 - theta) - a.powf(1.0 - theta)) / (1.0 - theta)
         }
-    }
-
-    /// Number of items.
-    #[must_use]
-    pub fn item_count(&self) -> u64 {
-        self.n
     }
 
     /// Draws a rank in `[0, n)`; rank 0 is the hottest item.
@@ -291,15 +279,5 @@ mod tests {
         for _ in 0..50_000 {
             assert!(zipf.sample(&mut rng) < 17);
         }
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = Rng::seed_from(42);
-        let mut child = parent.fork();
-        // Child stream does not simply mirror the parent stream.
-        let p: Vec<u64> = (0..4).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..4).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 }

@@ -69,12 +69,6 @@ impl SimTime {
         self.0
     }
 
-    /// This instant expressed in (fractional) microseconds.
-    #[must_use]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// This instant expressed in (fractional) seconds.
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
@@ -142,12 +136,6 @@ impl SimDuration {
     #[must_use]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// This span in (fractional) microseconds.
-    #[must_use]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// This span in (fractional) seconds.

@@ -142,7 +142,7 @@ impl EventBuffer {
 
     /// Whether events are being retained.
     #[must_use]
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         self.capacity > 0
     }
 

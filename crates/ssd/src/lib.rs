@@ -157,7 +157,7 @@ impl Ssd {
     /// or pre-cycled out of band). Single-plane chips; see
     /// [`Ssd::with_planes`] for multi-plane devices.
     #[must_use]
-    pub fn with_device(device: NandDevice) -> Self {
+    fn with_device(device: NandDevice) -> Self {
         Self::with_device_planes(device, 1)
     }
 
@@ -171,7 +171,7 @@ impl Ssd {
     ///
     /// Panics if `planes_per_chip` is zero.
     #[must_use]
-    pub fn with_device_planes(device: NandDevice, planes_per_chip: u32) -> Self {
+    fn with_device_planes(device: NandDevice, planes_per_chip: u32) -> Self {
         assert!(planes_per_chip > 0, "planes_per_chip must be at least 1");
         let g = device.geometry();
         let channels = vec![Resource::new(); g.channels as usize];
@@ -231,15 +231,6 @@ impl Ssd {
         self.makespan
     }
 
-    /// Utilization of every channel over the current makespan.
-    #[must_use]
-    pub fn channel_utilization(&self) -> Vec<f64> {
-        self.channels
-            .iter()
-            .map(|c| c.utilization(self.makespan))
-            .collect()
-    }
-
     /// Utilization of every chip over the current makespan (mean across
     /// the chip's planes).
     #[must_use]
@@ -263,68 +254,10 @@ impl Ssd {
         self.planes_per_chip
     }
 
-    /// Earliest time channel `channel` can start another transfer (its
-    /// FCFS timeline's next-free instant). Host-level schedulers use the
-    /// per-resource next-free times to steer independent requests toward
-    /// idle parts of the array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    #[must_use]
-    pub fn channel_next_free(&self, channel: u32) -> SimTime {
-        self.channels[channel as usize].next_free()
-    }
-
-    /// Earliest time plane `plane` of chip `chip` can start another cell
-    /// operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip` or `plane` is out of range.
-    #[must_use]
-    pub fn plane_next_free(&self, chip: u32, plane: u32) -> SimTime {
-        assert!(plane < self.planes_per_chip, "plane out of range");
-        self.planes[(chip * self.planes_per_chip + plane) as usize].next_free()
-    }
-
-    /// Earliest time chip `chip` can start another cell operation on *any*
-    /// of its planes (the minimum across its plane timelines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip` is out of range.
-    #[must_use]
-    pub fn chip_next_free(&self, chip: u32) -> SimTime {
-        let ppc = self.planes_per_chip as usize;
-        let start = chip as usize * ppc;
-        self.planes[start..start + ppc]
-            .iter()
-            .map(Resource::next_free)
-            .min()
-            .expect("chips have at least one plane")
-    }
-
-    /// The chip that frees up soonest, with its next-free time. Ties
-    /// resolve to the lowest chip index, so the answer is deterministic.
-    #[must_use]
-    pub fn earliest_free_chip(&self) -> (u32, SimTime) {
-        (0..self.geometry().chip_count())
-            .map(|c| (c, self.chip_next_free(c)))
-            .min_by_key(|&(c, t)| (t, c))
-            .expect("device has at least one chip")
-    }
-
     /// Arms a crash point: the run will lose power at the given command or
     /// instant (see [`CrashPoint`]).
     pub fn set_crash_point(&mut self, point: CrashPoint) {
         self.crash_point = Some(point);
-    }
-
-    /// The armed crash point, if any.
-    #[must_use]
-    pub fn crash_point(&self) -> Option<CrashPoint> {
-        self.crash_point
     }
 
     /// Restores power: disarms the crash point and lets commands reach the
@@ -596,26 +529,14 @@ impl Ssd {
         page: PageAddr,
         issue: SimTime,
     ) -> (Vec<Result<Oob, ReadFault>>, SimTime) {
-        let (results, _, done) = self.read_full_graded(page, issue);
+        let mut results = Vec::new();
+        let done = self.read_full_into(page, issue, &mut results);
         (results, done)
     }
 
-    /// Like [`Ssd::read_full`] but also reports the page's retry-ladder
-    /// effort — the effort of its hardest subpage, since retry steps
-    /// re-sense the page as a unit.
-    pub fn read_full_graded(
-        &mut self,
-        page: PageAddr,
-        issue: SimTime,
-    ) -> (Vec<Result<Oob, ReadFault>>, ReadEffort, SimTime) {
-        let mut results = Vec::new();
-        let (effort, done) = self.read_full_graded_into(page, issue, &mut results);
-        (results, effort, done)
-    }
-
-    /// Allocation-free variant of [`Ssd::read_full_graded`]: clears `out`
-    /// and fills it with the per-slot results, so steady-state read loops
-    /// can reuse one buffer across calls.
+    /// Like [`Ssd::read_full_into`] but also reports the page's
+    /// retry-ladder effort — the effort of its hardest subpage, since retry
+    /// steps re-sense the page as a unit.
     pub fn read_full_graded_into(
         &mut self,
         page: PageAddr,
@@ -723,36 +644,6 @@ mod tests {
 
     fn ssd() -> Ssd {
         Ssd::new(Geometry::tiny())
-    }
-
-    #[test]
-    fn next_free_accessors_track_per_resource_occupancy() {
-        let mut s = ssd();
-        // Untouched device: everything is free at time zero.
-        assert_eq!(s.channel_next_free(0), SimTime::ZERO);
-        assert_eq!(s.chip_next_free(1), SimTime::ZERO);
-        assert_eq!(s.earliest_free_chip(), (0, SimTime::ZERO));
-        // A program on chip 0 occupies channel 0 for the transfer, then
-        // chip 0's plane for the cell operation.
-        let page = s.geometry().block_addr(0).page(0);
-        let done = s
-            .program_subpage(page.subpage(0), oob(1), SimTime::ZERO)
-            .unwrap();
-        assert_eq!(s.chip_next_free(0), done);
-        assert_eq!(s.plane_next_free(0, 0), done);
-        let bus_free = s.channel_next_free(0);
-        assert!(bus_free > SimTime::ZERO);
-        assert!(bus_free < done, "the bus frees before the cell op ends");
-        // Chip 1 (on channel 1) is untouched and now the earliest free.
-        assert_eq!(s.channel_next_free(1), SimTime::ZERO);
-        assert_eq!(s.chip_next_free(1), SimTime::ZERO);
-        assert_eq!(s.earliest_free_chip(), (1, SimTime::ZERO));
-    }
-
-    #[test]
-    #[should_panic(expected = "plane out of range")]
-    fn plane_next_free_rejects_bad_plane() {
-        let _ = ssd().plane_next_free(0, 1);
     }
 
     #[test]
@@ -873,15 +764,28 @@ mod tests {
 
     #[test]
     fn erase_occupies_chip_only() {
-        let mut s = ssd();
-        let blk = s.geometry().block_addr(0);
+        let g = Geometry {
+            chips_per_channel: 2,
+            ..Geometry::tiny()
+        };
+        let mut s = Ssd::new(g.clone());
+        let blk = g.block_addr(0);
         let done = s.erase(blk, SimTime::ZERO).unwrap();
         assert_eq!(
             done.saturating_since(SimTime::ZERO),
             s.device().op_cost(OpKind::Erase).cell
         );
-        // Channel untouched: a transfer on the same channel starts at 0.
-        assert_eq!(s.channel_utilization()[0], 0.0);
+        // Channel untouched: a program on the channel's other chip starts
+        // its transfer at 0 and finishes after bus plus cell time.
+        let other = g.block_addr(g.blocks_per_chip);
+        assert_eq!(other.chip.channel, blk.chip.channel);
+        let d = s
+            .program_full(other.page(0), &[None; 4], SimTime::ZERO)
+            .unwrap();
+        assert_eq!(
+            d.saturating_since(SimTime::ZERO),
+            s.device().op_cost(OpKind::ProgramFull).total()
+        );
     }
 
     #[test]
@@ -1218,9 +1122,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_vectors_have_device_shape() {
-        let s = ssd();
-        assert_eq!(s.channel_utilization().len(), 2);
-        assert_eq!(s.chip_utilization().len(), 2);
+    fn utilization_vector_has_one_entry_per_chip() {
+        assert_eq!(ssd().chip_utilization().len(), 2);
     }
 }

@@ -157,13 +157,6 @@ impl ArrivalModel {
         }
     }
 
-    /// True when the process produces nonzero arrival stamps (an open
-    /// model); `Closed` is the only closed one.
-    #[must_use]
-    pub fn is_open(&self) -> bool {
-        !matches!(self, ArrivalModel::Closed)
-    }
-
     fn validate(self) -> Result<Self, ParseArrivalError> {
         let bad = |reason: &str| Err(ParseArrivalError(reason.to_string()));
         let rate_ok = |r: f64| r.is_finite() && r > 0.0;

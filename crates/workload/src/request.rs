@@ -219,19 +219,6 @@ impl Trace {
         s
     }
 
-    /// Appends all requests from `other` (footprints must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if footprints differ.
-    pub fn extend_from(&mut self, other: &Trace) {
-        assert_eq!(
-            self.footprint_sectors, other.footprint_sectors,
-            "cannot concatenate traces over different footprints"
-        );
-        self.requests.extend_from_slice(&other.requests);
-    }
-
     /// The requests arriving in `[from, to)`, rebased so the window starts
     /// at time zero. Useful for replaying a slice of a long (e.g. week-long
     /// MSR) trace.
@@ -457,12 +444,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_iteration_and_concat() {
+    fn trace_iterates_in_push_order() {
         let mut a = Trace::new(100);
         a.push(IoRequest::write(SimTime::ZERO, 0, 1, false));
-        let mut b = Trace::new(100);
-        b.push(IoRequest::read(SimTime::ZERO, 1, 1));
-        a.extend_from(&b);
+        a.push(IoRequest::read(SimTime::ZERO, 1, 1));
         assert_eq!(a.len(), 2);
         let ops: Vec<_> = (&a).into_iter().map(|r| r.op).collect();
         assert_eq!(ops, vec![IoOp::Write, IoOp::Read]);

@@ -108,17 +108,6 @@ impl Default for SyntheticConfig {
 }
 
 impl SyntheticConfig {
-    /// The Fig 2 sweep point: a Sysbench-style small-write workload with the
-    /// given `(r_small, r_synch)` over the default footprint.
-    #[must_use]
-    pub fn sweep_point(r_small: f64, r_synch: f64) -> Self {
-        SyntheticConfig {
-            r_small,
-            r_synch,
-            ..SyntheticConfig::default()
-        }
-    }
-
     /// Validates ratios and sizes.
     ///
     /// # Errors
@@ -355,7 +344,11 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let cfg = SyntheticConfig::sweep_point(0.5, 0.5);
+        let cfg = SyntheticConfig {
+            r_small: 0.5,
+            r_synch: 0.5,
+            ..SyntheticConfig::default()
+        };
         assert_eq!(generate(&cfg), generate(&cfg));
     }
 

@@ -37,7 +37,6 @@ impl AppendFtl {
             config.geometry.pages_per_block,
             config.geometry.blocks_per_chip,
             logical_sectors / u64::from(SECTORS_PER_PAGE),
-            config.gc_free_watermark,
         );
         AppendFtl {
             ssd,

@@ -288,6 +288,11 @@ fn config_from(flags: &Flags) -> Result<FtlConfig, Box<dyn Error>> {
         });
     }
     let read_disturb: f64 = flags.parse_or("read-disturb", 0.0)?;
+    if !(read_disturb.is_finite() && read_disturb >= 0.0) {
+        return Err(
+            format!("--read-disturb must be finite and non-negative, got {read_disturb}").into(),
+        );
+    }
     if read_disturb != 0.0 {
         cfg.retention = cfg.retention.clone().with_read_disturb(read_disturb);
     }
@@ -395,7 +400,7 @@ fn trace_from(flags: &Flags, cfg: &FtlConfig, force_file: bool) -> Result<Trace,
     };
     if let Some(path) = flags.get("msr") {
         let opts = MsrOptions {
-            r_synch: flags.parse_or("msr-rsynch", 0.5)?,
+            r_synch: msr_rsynch(flags)?,
             disk: match flags.get("msr-disk") {
                 None => None,
                 Some(v) => Some(v.parse().map_err(|e| format!("bad --msr-disk: {e}"))?),
@@ -457,6 +462,16 @@ fn time_scale_from(flags: &Flags) -> Result<Option<f64>, Box<dyn Error>> {
         return Err(format!("--time-scale must be finite and positive, got {v}").into());
     }
     Ok(Some(f))
+}
+
+/// Parses `--msr-rsynch`, the sync probability of imported small writes
+/// (a fraction in [0, 1]).
+fn msr_rsynch(flags: &Flags) -> Result<f64, Box<dyn Error>> {
+    let r_synch: f64 = flags.parse_or("msr-rsynch", 0.5)?;
+    if !(0.0..=1.0).contains(&r_synch) {
+        return Err(format!("--msr-rsynch must be in [0, 1], got {r_synch}").into());
+    }
+    Ok(r_synch)
 }
 
 /// Parses `--qd` (at least 1) and `--fill` (a fraction in [0, 1]).
@@ -636,7 +651,7 @@ fn tenant_set_from(flags: &Flags, cfg: &FtlConfig) -> Result<TenantSet, Box<dyn 
             .collect::<Result<_, _>>()
             .map_err(|e| format!("bad --msr-disk `{list}`: {e}"))?;
         let opts = MsrOptions {
-            r_synch: flags.parse_or("msr-rsynch", 0.5)?,
+            r_synch: msr_rsynch(flags)?,
             seed,
             ..MsrOptions::default()
         };

@@ -3,6 +3,9 @@
 
 use std::process::Command;
 
+/// The MSR Cambridge sample committed under `data/`.
+const MSR_SAMPLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/data/msr_sample.csv");
+
 fn espsim(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_espsim"))
         .args(args)
@@ -95,6 +98,44 @@ fn fault_free_run_prints_no_fault_counters() {
     assert!(ok, "stderr: {stderr}");
     assert!(!stdout.contains("write retries"), "in:\n{stdout}");
     assert!(!stdout.contains("blocks retired"), "in:\n{stdout}");
+}
+
+#[test]
+fn relocation_counts_unrecoverable_reads_instead_of_panicking() {
+    // At this disturb rate GC, reclaim and the patrol meet valid units the
+    // retry ladder cannot recover. Each FTL must count them as read faults
+    // and finish the run.
+    for ftl in ["cgm", "fgm", "sub", "sectorlog"] {
+        let (ok, stdout, stderr) = espsim(&[
+            "run",
+            "--ftl",
+            ftl,
+            "--geometry",
+            "2x2x16x32",
+            "--op",
+            "0.4",
+            "--requests",
+            "2000",
+            "--rsmall",
+            "0.5",
+            "--read-fraction",
+            "0.9",
+            "--read-disturb",
+            "3e-2",
+            "--retry-ladder",
+            "on",
+            "--reclaim-threshold",
+            "2",
+        ]);
+        assert!(ok, "{ftl}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{ftl}: stderr: {stderr}");
+        let faults: u64 = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("read faults"))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{ftl}: no read-fault count in:\n{stdout}"));
+        assert!(faults > 0, "{ftl}: in:\n{stdout}");
+    }
 }
 
 #[test]
@@ -268,6 +309,22 @@ fn bad_inputs_fail_with_messages() {
         ],
         "die_at_op must be at least 1",
     );
+    for disturb in ["nan", "inf", "-0.5"] {
+        rejects(
+            &["run", "--read-disturb", disturb, "--requests", "10"],
+            "--read-disturb must be finite and non-negative",
+        );
+    }
+    for tenants in [&[][..], &["--tenants", "2", "--msr-disk", "0,1"][..]] {
+        for r_synch in ["2", "nan"] {
+            let args = [
+                &["replay", "--msr", MSR_SAMPLE, "--msr-rsynch", r_synch][..],
+                tenants,
+            ]
+            .concat();
+            rejects(&args, "--msr-rsynch must be in [0, 1]");
+        }
+    }
 }
 
 #[test]
