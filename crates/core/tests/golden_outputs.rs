@@ -245,6 +245,35 @@ fn golden_retry_ladder_reclaim_hot_reads() {
     ));
 }
 
+/// The hot-read workload past what the ladder and reclaim can hold: GC,
+/// reclaim and the patrol meet data they cannot recover, count it and
+/// finish the collection. cgm loses nothing at this rate, so it has no arm.
+#[test]
+fn golden_hot_reads_beyond_spec() {
+    let cfg = FtlConfig {
+        retention: RetentionModel::paper_default().with_read_disturb(3e-2),
+        retry_ladder: Some(RetryLadder::paper_default()),
+        reclaim_threshold: Some(2),
+        ..base()
+    };
+    let trace = SyntheticConfig {
+        read_fraction: 0.9,
+        zipf_theta: 0.99,
+        ..trace_cfg(&cfg, 6_000, 14)
+    };
+    check(&arms(
+        "hot_reads_beyond_spec",
+        &cfg,
+        &generate(&trace),
+        ("read_faults", |f| f.stats().read_faults),
+        &[
+            (Kind::Fgm, 0x506791d465224f62),
+            (Kind::Sub, 0xaa14bae522a774e2),
+            (Kind::SectorLog, 0x3e9f8ec618cfab31),
+        ],
+    ));
+}
+
 #[test]
 fn golden_cost_benefit_background_gc() {
     let cfg = FtlConfig {
