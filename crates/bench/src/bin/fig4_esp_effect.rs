@@ -12,7 +12,7 @@ use esp_bench::TextTable;
 use esp_nand::{Geometry, NandDevice, Oob, SubpageState};
 use esp_sim::{SimDuration, SimTime};
 
-fn state_name(s: &SubpageState) -> String {
+fn state_name(s: SubpageState) -> String {
     match s {
         SubpageState::Erased => "erased".into(),
         SubpageState::Destroyed => "DESTROYED (uncorrectable)".into(),

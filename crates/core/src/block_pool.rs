@@ -38,9 +38,10 @@ struct Block {
     /// Chip holding this block (`gbi / blocks_per_chip`), precomputed so
     /// victim scans avoid a division per lookup.
     chip: u32,
-    /// Per-unit validity (`pages × units_per_page`; a unit is valid while
-    /// the owner's map points at it).
-    valid: Vec<bool>,
+    /// Per-unit validity bitset (`pages × units_per_page` bits, unit `u`
+    /// at bit `u % 64` of word `u / 64`; a unit is valid while the owner's
+    /// map points at it).
+    valid: Vec<u64>,
     valid_count: u32,
     /// Pages programmed since the last erase (the write pointer while
     /// active).
@@ -59,12 +60,43 @@ impl Block {
         Block {
             gbi,
             chip: gbi / blocks_per_chip,
-            valid: vec![false; units as usize],
+            valid: vec![0; units.div_ceil(64) as usize],
             valid_count: 0,
             programmed: 0,
             retired: false,
             closed_seq: 0,
         }
+    }
+
+    /// Word index and bit mask of `unit` in the validity bitset.
+    fn bit(unit: u32) -> (usize, u64) {
+        ((unit / 64) as usize, 1 << (unit % 64))
+    }
+
+    fn is_valid(&self, unit: u32) -> bool {
+        let (w, mask) = Block::bit(unit);
+        self.valid[w] & mask != 0
+    }
+
+    /// Whether any of the `len` units from `start` is valid.
+    fn any_valid(&self, start: u32, len: u32) -> bool {
+        let end = start + len;
+        let mut unit = start;
+        while unit < end {
+            let low = unit % 64;
+            let n = (end - unit).min(64 - low);
+            let mask = (u64::MAX >> (64 - n)) << low;
+            if self.valid[(unit / 64) as usize] & mask != 0 {
+                return true;
+            }
+            unit += n;
+        }
+        false
+    }
+
+    fn clear_valid(&mut self) {
+        self.valid.fill(0);
+        self.valid_count = 0;
     }
 }
 
@@ -197,21 +229,19 @@ impl BlockPool {
     }
 
     pub(crate) fn is_valid(&self, block: u32, unit: u32) -> bool {
-        self.blocks[block as usize].valid[unit as usize]
+        self.blocks[block as usize].is_valid(unit)
     }
 
     /// Whether any unit of `page` in `block` is valid.
     pub(crate) fn page_has_valid(&self, block: u32, page: u32) -> bool {
-        let start = (page * self.units_per_page) as usize;
-        self.blocks[block as usize].valid[start..start + self.units_per_page as usize]
-            .iter()
-            .any(|&v| v)
+        self.blocks[block as usize].any_valid(page * self.units_per_page, self.units_per_page)
     }
 
     /// Marks a freshly programmed unit valid.
     pub(crate) fn mark_valid(&mut self, block: u32, unit: u32) {
         let b = &mut self.blocks[block as usize];
-        b.valid[unit as usize] = true;
+        let (w, mask) = Block::bit(unit);
+        b.valid[w] |= mask;
         b.valid_count += 1;
     }
 
@@ -219,8 +249,9 @@ impl BlockPool {
     /// if it was not valid.
     pub(crate) fn invalidate(&mut self, block: u32, unit: u32) {
         let b = &mut self.blocks[block as usize];
-        if b.valid[unit as usize] {
-            b.valid[unit as usize] = false;
+        let (w, mask) = Block::bit(unit);
+        if b.valid[w] & mask != 0 {
+            b.valid[w] &= !mask;
             b.valid_count -= 1;
         }
     }
@@ -493,8 +524,7 @@ impl BlockPool {
         debug_assert_eq!(self.valid_count(block), 0, "erasing live data");
         let result = erase_or_retire(ssd, self.gbi(block), stats, issue);
         let b = &mut self.blocks[block as usize];
-        b.valid.fill(false);
-        b.valid_count = 0;
+        b.clear_valid();
         b.closed_seq = 0;
         match result {
             Ok(_) => {
@@ -591,8 +621,7 @@ impl BlockPool {
         for (b, &p) in self.blocks.iter_mut().zip(programmed) {
             assert!(p <= self.pages_per_block);
             b.programmed = p;
-            b.valid.fill(false);
-            b.valid_count = 0;
+            b.clear_valid();
             b.closed_seq = 0;
         }
         self.free = (0..self.blocks.len() as u32)
@@ -666,7 +695,7 @@ impl BlockPool {
             in_free[f as usize] = true;
         }
         for (i, b) in self.blocks.iter().enumerate() {
-            let set = b.valid.iter().filter(|&&v| v).count() as u32;
+            let set: u32 = b.valid.iter().map(|w| w.count_ones()).sum();
             assert_eq!(set, b.valid_count, "block {i}: valid_count out of sync");
             let active = self.actives.contains(&Some(i as u32));
             if b.retired {
@@ -694,6 +723,7 @@ mod tests {
     use esp_sim::{SimDuration, SimTime};
     use esp_workload::{generate, SyntheticConfig};
 
+    use super::BlockPool;
     use crate::test_fixtures::all_ftls;
     use crate::{run_trace_qd, CgmFtl, Ftl, FtlConfig};
 
@@ -711,6 +741,27 @@ mod tests {
     /// The FTL's and the device's counters.
     fn counters(ftl: &dyn Ftl) -> (String, DeviceStats) {
         (format!("{:?}", ftl.stats()), *ftl.ssd().device().stats())
+    }
+
+    #[test]
+    fn validity_bits_of_a_page_that_straddles_two_words() {
+        // Three units per page: page 21 holds units 63, 64 and 65, the
+        // last bit of word 0 and the first two of word 1.
+        let mut pool = BlockPool::new(&[0, 1], 32, 3, 2, 1);
+        pool.mark_valid(1, 64);
+        assert!(pool.is_valid(1, 64) && !pool.is_valid(1, 63) && !pool.is_valid(0, 64));
+        assert!(pool.page_has_valid(1, 21));
+        assert!(!pool.page_has_valid(1, 20) && !pool.page_has_valid(1, 22));
+        pool.mark_valid(1, 63);
+        pool.invalidate(1, 64);
+        pool.invalidate(1, 64);
+        assert!(pool.page_has_valid(1, 21));
+        assert_eq!(pool.valid_count(1), 1);
+        pool.invalidate(1, 63);
+        assert!(!pool.page_has_valid(1, 21));
+        assert_eq!(pool.valid_count(1), 0);
+        pool.mark_valid(0, 95);
+        assert!(pool.page_has_valid(0, 31) && !pool.page_has_valid(0, 30));
     }
 
     #[test]

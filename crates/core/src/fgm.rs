@@ -86,6 +86,9 @@ pub struct FgmFtl {
     slots_scratch: Vec<Result<Oob, esp_nand::ReadFault>>,
     chunks_scratch: Vec<FlushChunk>,
     group_scratch: Vec<(u64, u64)>,
+    /// Reused `(lsn, seq)` list of a GC victim's readable valid sectors
+    /// (see [`FgmFtl::collect_block`]).
+    survivors_scratch: Vec<(u64, u64)>,
 }
 
 impl FgmFtl {
@@ -150,6 +153,7 @@ impl FgmFtl {
             slots_scratch: Vec::new(),
             chunks_scratch: Vec::new(),
             group_scratch: Vec::new(),
+            survivors_scratch: Vec::new(),
         };
         // Exclude factory-marked and previously grown bad blocks.
         for gbi in ftl.ssd.device().bad_block_indices() {
@@ -324,7 +328,8 @@ impl FgmFtl {
     fn collect_block(&mut self, victim: u32, issue: SimTime) -> SimTime {
         let gbi = self.pool.gbi(victim);
         let mut now = issue;
-        let mut survivors: Vec<(u64, u64)> = Vec::new();
+        let mut survivors = std::mem::take(&mut self.survivors_scratch);
+        survivors.clear();
         for page in 0..self.pages_per_block {
             if !self.pool.page_has_valid(victim, page) {
                 continue;
@@ -334,6 +339,7 @@ impl FgmFtl {
             if self.ssd.halted() {
                 // Power died mid-GC: the victim's remaining valid sectors
                 // stay on flash; this half-done collection dies with DRAM.
+                self.survivors_scratch = survivors;
                 return now;
             }
             for slot in 0..self.nsub {
@@ -370,6 +376,7 @@ impl FgmFtl {
             self.stats.gc_copied_sectors += group.len() as u64;
             self.stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
         }
+        self.survivors_scratch = survivors;
         if self.pool.valid_count(victim) > 0 {
             // Copy-out could not place every survivor (space exhausted
             // mid-GC): leave the victim intact instead of erasing sole

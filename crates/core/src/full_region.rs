@@ -917,10 +917,9 @@ mod tests {
             .map(|b| {
                 (0..4)
                     .filter(|&p| {
-                        !ssd.device()
-                            .block(ssd.geometry().block_addr(b))
-                            .page(p)
-                            .is_erased()
+                        ssd.device()
+                            .program_count(ssd.geometry().block_addr(b).page(p))
+                            > 0
                     })
                     .count() as u32
             })
@@ -1080,11 +1079,11 @@ mod tests {
         for lpn in 0..32 {
             eng.put(lpn, &mut ssd, &mut stats, SimTime::ZERO);
         }
-        assert!(ssd
-            .device()
-            .block(ssd.geometry().block_addr(7))
-            .page(0)
-            .is_erased());
+        assert_eq!(
+            ssd.device()
+                .program_count(ssd.geometry().block_addr(7).page(0)),
+            0
+        );
     }
 
     #[test]

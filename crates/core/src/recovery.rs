@@ -142,7 +142,7 @@ pub(crate) fn scan_device(ssd: &mut Ssd) -> DeviceScan {
         let mut saw_full = false;
         for p in 0..g.pages_per_block {
             let paddr = baddr.page(p);
-            let programs = ssd.device().block(baddr).page(p).program_count();
+            let programs = ssd.device().program_count(paddr);
             let mut live = Vec::new();
             if programs > 0 {
                 // One page read recovers all slots' data + spare areas.
@@ -153,7 +153,7 @@ pub(crate) fn scan_device(ssd: &mut Ssd) -> DeviceScan {
                 let mut has_torn = false;
                 for (slot, r) in results.iter().enumerate() {
                     let addr = paddr.subpage(slot as u8);
-                    let state = *ssd.device().subpage_state(addr);
+                    let state = ssd.device().subpage_state(addr);
                     if !matches!(state, SubpageState::Erased) {
                         non_erased += 1;
                     }

@@ -73,11 +73,18 @@ pub struct SectorLogFtl {
     reliability: ReadReliability,
     /// Log-merge/reclaim event recorder; disabled (free) by default.
     trace: EventBuffer,
-    /// Reused full-page read buffer and OOB staging for log merges and
-    /// grouped host reads, so those hot paths allocate nothing per page.
+    /// Reused full-page read buffer and OOB staging for log merges, log
+    /// appends and grouped host reads, so those hot paths allocate nothing
+    /// per page.
     slots_scratch: Vec<Result<Oob, esp_nand::ReadFault>>,
     oobs_scratch: Vec<Option<Oob>>,
     chunks_scratch: Vec<FlushChunk>,
+    /// Reused list of a flush chunk's `(lsn, from host)` sectors outside
+    /// whole logical pages, which go to the log.
+    residues_scratch: Vec<(u64, bool)>,
+    /// Reused list of the logical pages a log merge rewrites (see
+    /// [`SectorLogFtl::merge_block`]).
+    lpns_scratch: Vec<u64>,
 }
 
 impl SectorLogFtl {
@@ -147,6 +154,8 @@ impl SectorLogFtl {
             slots_scratch: Vec::new(),
             oobs_scratch: Vec::new(),
             chunks_scratch: Vec::new(),
+            residues_scratch: Vec::new(),
+            lpns_scratch: Vec::new(),
         };
         // Exclude factory-marked bad blocks from whichever region owns them.
         for gbi in ftl.ssd.device().bad_block_indices() {
@@ -386,10 +395,11 @@ impl SectorLogFtl {
     fn log_append(&mut self, group: &[(u64, bool)], issue: SimTime) -> SimTime {
         debug_assert!(!group.is_empty() && group.len() <= self.nsub as usize);
         let now = self.ensure_log_space(issue);
-        let mut oobs: Vec<Option<Oob>> = vec![None; self.nsub as usize];
+        self.oobs_scratch.clear();
+        self.oobs_scratch.resize(self.nsub as usize, None);
         for (slot, &(lsn, _)) in group.iter().enumerate() {
             let seq = self.next_seq();
-            oobs[slot] = Some(Oob { lsn, seq });
+            self.oobs_scratch[slot] = Some(Oob { lsn, seq });
         }
         // With wear leveling, refills pick the chip's least-worn free log
         // block so erase cycles spread across the region; otherwise the
@@ -399,23 +409,25 @@ impl SectorLogFtl {
         } else {
             Refill::FirstFree
         };
-        let (block, page, done) =
-            match self
-                .log
-                .program(&mut self.ssd, &oobs, &mut self.stats, refill, now)
-            {
-                Ok(landed) => landed,
-                Err(now) => {
-                    if !self.ssd.halted() {
-                        // End of life: the log region has no appendable
-                        // page left. Drop the append (old copies stay
-                        // mapped) and latch the refusal so subsequent
-                        // writes are dropped up front.
-                        self.reliability.latch_end_of_life(&mut self.stats);
-                    }
-                    return now;
+        let (block, page, done) = match self.log.program(
+            &mut self.ssd,
+            &self.oobs_scratch,
+            &mut self.stats,
+            refill,
+            now,
+        ) {
+            Ok(landed) => landed,
+            Err(now) => {
+                if !self.ssd.halted() {
+                    // End of life: the log region has no appendable
+                    // page left. Drop the append (old copies stay
+                    // mapped) and latch the refusal so subsequent
+                    // writes are dropped up front.
+                    self.reliability.latch_end_of_life(&mut self.stats);
                 }
-            };
+                return now;
+            }
+        };
         for (slot, &(lsn, _)) in group.iter().enumerate() {
             self.unmap_log(lsn);
             self.log_map.insert(
@@ -485,7 +497,8 @@ impl SectorLogFtl {
         let mut now = issue;
         // Collect the victim's live sectors.
         let gbi = self.log.gbi(victim);
-        let mut lpns: Vec<u64> = Vec::new();
+        let mut lpns = std::mem::take(&mut self.lpns_scratch);
+        lpns.clear();
         for page in 0..self.pages_per_block {
             if !self.log.page_has_valid(victim, page) {
                 continue;
@@ -495,6 +508,7 @@ impl SectorLogFtl {
             if self.ssd.halted() {
                 // Power died mid-merge: surviving log copies stay where
                 // they are on flash; this half-done merge dies with DRAM.
+                self.lpns_scratch = lpns;
                 return Some(now);
             }
             for slot in 0..self.nsub {
@@ -522,9 +536,10 @@ impl SectorLogFtl {
         }
         lpns.sort_unstable();
         lpns.dedup();
-        for lpn in lpns {
+        for &lpn in &lpns {
             now = self.merge_lpn(lpn, now);
         }
+        self.lpns_scratch = lpns;
         if self.log.valid_count(victim) > 0 {
             // The data region ran out of space mid-merge: the remaining
             // log entries are sole copies, so the victim must not be
@@ -646,7 +661,8 @@ impl FrontEnd for SectorLogFtl {
             let aligned_lo = lo.div_ceil(page_sz) * page_sz;
             let aligned_hi = (hi / page_sz) * page_sz;
             let origin = |lsn: u64| chunk.origins[(lsn - chunk.start_lsn) as usize];
-            let mut residues: Vec<(u64, bool)> = Vec::new();
+            let mut residues = std::mem::take(&mut self.residues_scratch);
+            residues.clear();
             if aligned_lo + page_sz <= aligned_hi {
                 residues.extend((lo..aligned_lo).map(|l| (l, origin(l))));
                 for lpn in aligned_lo / page_sz..aligned_hi / page_sz {
@@ -690,6 +706,7 @@ impl FrontEnd for SectorLogFtl {
                 let t = self.log_append(group, issue);
                 done = done.max(t);
             }
+            self.residues_scratch = residues;
             self.buffer.recycle(chunk);
         }
         done

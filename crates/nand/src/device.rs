@@ -5,6 +5,13 @@
 //! through [`NandDevice::op_cost`], and the multi-channel timing simulation
 //! (which chip is busy when) lives in the `esp-ssd` crate. Keeping mechanism
 //! and timing separate lets unit tests drive the state machine directly.
+//!
+//! Subpage state lives in one device-wide table: one 32-byte record per
+//! subpage, indexed `(global block × pages_per_block + page) × N_sub +
+//! slot`, beside one program count per page. An erase is a fill of the
+//! block's slice. Every command checks its address against the geometry
+//! before it computes a flat index: in a flat table an out-of-range page or
+//! slot would silently land in the next page or block.
 
 use std::collections::HashSet;
 
@@ -13,14 +20,14 @@ use esp_sim::{SimDuration, SimTime};
 use crate::error::{NandError, ReadFault};
 use crate::fault::{FaultConfig, FaultModel};
 use crate::geometry::{BlockAddr, Geometry, PageAddr, SubpageAddr};
-use crate::page::{Oob, Page, SubpageState, WrittenSubpage};
+use crate::page::{self, Oob, Subpage, SubpageState, WrittenSubpage};
 use crate::reliability::{EraseDepth, ReadEffort, RetentionModel, RetryLadder};
 use crate::timing::NandTiming;
 
-/// One erase block: pages plus wear state.
-#[derive(Debug, Clone)]
+/// One erase block's wear and health state (its pages' contents live in
+/// the device's subpage table).
+#[derive(Debug, Clone, Default)]
 pub struct Block {
-    pages: Vec<Page>,
     pe_cycles: u32,
     /// Accumulated tunnel-oxide stress in milli-P/E. A full-depth erase
     /// charges exactly 1000, so without adaptive erase this is always
@@ -37,19 +44,6 @@ pub struct Block {
 }
 
 impl Block {
-    fn new(geometry: &Geometry) -> Self {
-        Block {
-            pages: (0..geometry.pages_per_block)
-                .map(|_| Page::new(geometry.subpages_per_page))
-                .collect(),
-            pe_cycles: 0,
-            stress_milli: 0,
-            bad: false,
-            torn: false,
-            reads_since_erase: 0,
-        }
-    }
-
     /// Program/erase cycles this block has endured (the raw erase count,
     /// regardless of erase depth).
     #[must_use]
@@ -92,16 +86,6 @@ impl Block {
     #[must_use]
     pub fn reads_since_erase(&self) -> u64 {
         self.reads_since_erase
-    }
-
-    /// The page at `page` index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    #[must_use]
-    pub fn page(&self, page: u32) -> &Page {
-        &self.pages[page as usize]
     }
 }
 
@@ -201,6 +185,12 @@ pub struct NandDevice {
     retention: RetentionModel,
     /// Blocks indexed by the device-global block index.
     blocks: Vec<Block>,
+    /// Every subpage's record: the record of (global block `b`, page `p`,
+    /// slot `s`) is at `(b × pages_per_block + p) × N_sub + s`.
+    subpages: Vec<Subpage>,
+    /// Program operations per page since its last erase, at
+    /// `b × pages_per_block + p`.
+    programs: Vec<u8>,
     stats: DeviceStats,
     forced_faults: HashSet<SubpageAddr>,
     faults: Option<FaultModel>,
@@ -242,14 +232,15 @@ impl NandDevice {
     #[must_use]
     pub fn with_models(geometry: Geometry, timing: NandTiming, retention: RetentionModel) -> Self {
         geometry.validate().expect("invalid NAND geometry");
-        let blocks = (0..geometry.block_count())
-            .map(|_| Block::new(&geometry))
-            .collect();
+        let subpages = geometry.subpage_count() as usize;
+        let pages = subpages / geometry.subpages_per_page as usize;
         NandDevice {
+            blocks: vec![Block::default(); geometry.block_count() as usize],
+            subpages: vec![Subpage::ERASED; subpages],
+            programs: vec![0; pages],
             geometry,
             timing,
             retention,
-            blocks,
             stats: DeviceStats::default(),
             forced_faults: HashSet::new(),
             faults: None,
@@ -387,16 +378,116 @@ impl NandDevice {
         }
     }
 
-    fn block_mut(&mut self, addr: BlockAddr) -> Result<&mut Block, NandError> {
-        let idx = if addr.chip.channel < self.geometry.channels
+    /// True if `addr` names a block of this geometry.
+    fn block_in_range(&self, addr: BlockAddr) -> bool {
+        addr.chip.channel < self.geometry.channels
             && addr.chip.way < self.geometry.chips_per_channel
             && addr.block < self.geometry.blocks_per_chip
-        {
-            self.geometry.block_index(addr) as usize
+    }
+
+    /// Device-global index of the block at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// [`NandError::AddressOutOfRange`] if `addr` is outside the geometry.
+    fn checked_block_index(&self, addr: BlockAddr) -> Result<usize, NandError> {
+        if self.block_in_range(addr) {
+            Ok(self.geometry.block_index(addr) as usize)
         } else {
+            Err(NandError::AddressOutOfRange)
+        }
+    }
+
+    /// Flat index of `page` into `programs`; its records start at `N_sub`
+    /// times this in `subpages`. The caller has checked the address.
+    fn page_index(&self, page: PageAddr) -> usize {
+        debug_assert!(self.geometry.contains(page.subpage(0)));
+        self.geometry.block_index(page.block) as usize * self.geometry.pages_per_block as usize
+            + page.page as usize
+    }
+
+    /// Flat index of the subpage at `addr` into `subpages`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is outside the geometry.
+    fn subpage_index(&self, addr: SubpageAddr) -> usize {
+        assert!(self.geometry.contains(addr), "address outside geometry");
+        self.page_index(addr.page) * self.geometry.subpages_per_page as usize
+            + usize::from(addr.slot)
+    }
+
+    /// The records and the program count of the page at flat index `pi`.
+    fn page_mut(&mut self, pi: usize) -> (&mut [Subpage], &mut u8) {
+        let n = self.geometry.subpages_per_page as usize;
+        (
+            &mut self.subpages[pi * n..(pi + 1) * n],
+            &mut self.programs[pi],
+        )
+    }
+
+    /// The records and the program counts of every page of block `bi`.
+    fn block_pages_mut(&mut self, bi: usize) -> (&mut [Subpage], &mut [u8]) {
+        let pages = self.geometry.pages_per_block as usize;
+        let n = self.geometry.subpages_per_page as usize;
+        (
+            &mut self.subpages[bi * pages * n..(bi + 1) * pages * n],
+            &mut self.programs[bi * pages..(bi + 1) * pages],
+        )
+    }
+
+    /// Checks that the block at `addr` accepts programs and returns its
+    /// effective wear.
+    ///
+    /// # Errors
+    ///
+    /// [`NandError::AddressOutOfRange`], [`NandError::BadBlock`] or
+    /// [`NandError::TornBlock`], in that order.
+    fn programmable_wear(&self, addr: BlockAddr) -> Result<u32, NandError> {
+        let block = &self.blocks[self.checked_block_index(addr)?];
+        if block.bad {
+            return Err(NandError::BadBlock);
+        }
+        if block.torn {
+            return Err(NandError::TornBlock);
+        }
+        // Reliability follows *effective* wear (equal to the erase count
+        // unless adaptive erase charged fractional stress).
+        Ok(block.effective_pe())
+    }
+
+    /// The checks shared by [`NandDevice::program_full`] and
+    /// [`NandDevice::tear_program_full`] before the page's own state:
+    /// returns the page's flat index and its block's effective wear.
+    fn full_program_target(&self, page: PageAddr) -> Result<(usize, u32), NandError> {
+        if self.dead {
+            return Err(NandError::DeviceDead);
+        }
+        let pe = self.programmable_wear(page.block)?;
+        if page.page >= self.geometry.pages_per_block {
             return Err(NandError::AddressOutOfRange);
-        };
-        Ok(&mut self.blocks[idx])
+        }
+        let pi = self.page_index(page);
+        // Word lines must be programmed in order: a full-page program is
+        // only legal if the preceding page has been programmed.
+        if page.page > 0 && self.programs[pi - 1] == 0 {
+            return Err(NandError::NonSequentialProgram { page: page.page });
+        }
+        Ok((pi, pe))
+    }
+
+    /// The checks shared by [`NandDevice::program_subpage`] and
+    /// [`NandDevice::tear_program_subpage`] before the page's own state:
+    /// returns the page's flat index and its block's effective wear.
+    fn subpage_program_target(&self, addr: SubpageAddr) -> Result<(usize, u32), NandError> {
+        if self.dead {
+            return Err(NandError::DeviceDead);
+        }
+        if !self.geometry.contains(addr) {
+            return Err(NandError::AddressOutOfRange);
+        }
+        let pe = self.programmable_wear(addr.page.block)?;
+        Ok((self.page_index(addr.page), pe))
     }
 
     /// The block at `addr`.
@@ -406,6 +497,8 @@ impl NandDevice {
     /// Panics if the address is outside the geometry.
     #[must_use]
     pub fn block(&self, addr: BlockAddr) -> &Block {
+        // A block index past its chip would name the next chip's block.
+        assert!(self.block_in_range(addr), "address outside geometry");
         &self.blocks[self.geometry.block_index(addr) as usize]
     }
 
@@ -432,10 +525,7 @@ impl NandDevice {
     /// rejected without running).
     #[must_use]
     pub fn erase_cost(&self, addr: BlockAddr) -> OpCost {
-        let in_range = addr.chip.channel < self.geometry.channels
-            && addr.chip.way < self.geometry.chips_per_channel
-            && addr.block < self.geometry.blocks_per_chip;
-        let cell = if self.adaptive_erase && in_range {
+        let cell = if self.adaptive_erase && self.block_in_range(addr) {
             let depth = self.retention.erase_depth(self.block(addr).effective_pe());
             self.timing.erase_for(depth)
         } else {
@@ -458,50 +548,34 @@ impl NandDevice {
     ///
     /// # Errors
     ///
-    /// See [`Page::program_full`]; also rejects out-of-geometry addresses
-    /// ([`NandError::AddressOutOfRange`]) and bad blocks
-    /// ([`NandError::BadBlock`]). With a fault model installed the operation
-    /// may report [`NandError::ProgramFailed`]: the pulse ran (the page
-    /// counts a program and holds garbage) but no data was stored, and the
-    /// caller must re-program elsewhere.
+    /// * [`NandError::DeviceDead`] once the device has failed.
+    /// * [`NandError::AddressOutOfRange`] for addresses outside the
+    ///   geometry.
+    /// * [`NandError::BadBlock`] / [`NandError::TornBlock`] if the block is
+    ///   marked bad or its last erase was cut.
+    /// * [`NandError::NonSequentialProgram`] if the previous page of the
+    ///   block is still erased.
+    /// * [`NandError::SlotCountMismatch`] if `oobs.len() != N_sub`.
+    /// * [`NandError::ProgramOnDirtyPage`] if the page has been programmed
+    ///   since the last erase.
+    /// * [`NandError::ProgramFailed`] with a fault model installed: the
+    ///   pulse ran (the page counts a program and holds garbage) but no data
+    ///   was stored, and the caller must re-program elsewhere.
     pub fn program_full(
         &mut self,
         page: PageAddr,
         oobs: &[Option<Oob>],
         now: SimTime,
     ) -> Result<(), NandError> {
-        if self.dead {
-            return Err(NandError::DeviceDead);
-        }
-        let block = self.block_mut(page.block)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        if block.torn {
-            return Err(NandError::TornBlock);
-        }
-        if page.page >= block.pages.len() as u32 {
-            return Err(NandError::AddressOutOfRange);
-        }
-        // Word lines must be programmed in order: a full-page program is
-        // only legal if the preceding page has been programmed.
-        if page.page > 0 && block.pages[(page.page - 1) as usize].is_erased() {
-            return Err(NandError::NonSequentialProgram { page: page.page });
-        }
-        // Reliability follows *effective* wear (equal to the erase count
-        // unless adaptive erase charged fractional stress).
-        let pe = block.effective_pe();
-        block.pages[page.page as usize].program_full(oobs, now, pe)?;
+        let (pi, pe) = self.full_program_target(page)?;
+        let (records, programs) = self.page_mut(pi);
+        page::program_full(records, programs, oobs, now, pe)?;
         self.stats.full_programs += 1;
         self.note_op_executed();
         // The fault stream is consulted only after the command proved legal,
         // so illegal commands never advance (or even require) the RNG.
         if self.draw_program_fault() {
-            let n_sub = self.geometry.subpages_per_page;
-            let failed = &mut self.blocks[self.geometry.block_index(page.block) as usize];
-            for slot in 0..n_sub {
-                failed.pages[page.page as usize].destroy_subpage(slot as u8);
-            }
+            self.page_mut(pi).0.iter_mut().for_each(Subpage::destroy);
             self.stats.program_failures += 1;
             return Err(NandError::ProgramFailed);
         }
@@ -515,40 +589,31 @@ impl NandDevice {
     ///
     /// # Errors
     ///
-    /// See [`Page::program_subpage`]; also rejects out-of-geometry addresses
-    /// ([`NandError::AddressOutOfRange`]) and bad blocks
-    /// ([`NandError::BadBlock`]). With a fault model installed the operation
-    /// may report [`NandError::ProgramFailed`]: the pulse ran (SBPI side
-    /// effects included) but the target slot holds garbage.
+    /// * [`NandError::DeviceDead`] once the device has failed.
+    /// * [`NandError::AddressOutOfRange`] for addresses outside the
+    ///   geometry, an out-of-range slot included.
+    /// * [`NandError::BadBlock`] / [`NandError::TornBlock`] if the block is
+    ///   marked bad or its last erase was cut.
+    /// * [`NandError::ProgramLimitExceeded`] if the page has already been
+    ///   programmed `N_sub` times since the last erase.
+    /// * [`NandError::ProgramFailed`] with a fault model installed: the
+    ///   pulse ran (SBPI side effects included) but the target slot holds
+    ///   garbage.
     pub fn program_subpage(
         &mut self,
         addr: SubpageAddr,
         oob: Oob,
         now: SimTime,
     ) -> Result<(), NandError> {
-        if self.dead {
-            return Err(NandError::DeviceDead);
-        }
-        if !self.geometry.contains(addr) {
-            return Err(NandError::AddressOutOfRange);
-        }
-        let block = self.block_mut(addr.page.block)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        if block.torn {
-            return Err(NandError::TornBlock);
-        }
-        let pe = block.effective_pe();
-        let destroyed =
-            block.pages[addr.page.page as usize].program_subpage(addr.slot, oob, now, pe)?;
+        let (pi, pe) = self.subpage_program_target(addr)?;
+        let (records, programs) = self.page_mut(pi);
+        let destroyed = page::program_subpage(records, programs, addr.slot, oob, now, pe)?;
         self.stats.subpage_programs += 1;
-        self.stats.subpages_destroyed += destroyed.len() as u64;
+        self.stats.subpages_destroyed += u64::from(destroyed);
         self.note_op_executed();
         // Consulted only after the command proved legal (see program_full).
         if self.draw_program_fault() {
-            let idx = self.geometry.block_index(addr.page.block) as usize;
-            self.blocks[idx].pages[addr.page.page as usize].destroy_subpage(addr.slot);
+            self.page_mut(pi).0[usize::from(addr.slot)].destroy();
             self.stats.program_failures += 1;
             return Err(NandError::ProgramFailed);
         }
@@ -560,7 +625,9 @@ impl NandDevice {
     /// # Errors
     ///
     /// * [`ReadFault::NotWritten`] / [`ReadFault::Padding`] /
-    ///   [`ReadFault::DestroyedByProgram`] — see [`Page::read_subpage`].
+    ///   [`ReadFault::DestroyedByProgram`] / [`ReadFault::Torn`] if the
+    ///   subpage is erased, padding, destroyed by a later program of its
+    ///   page, or torn by a power cut (see [`SubpageState`]).
     /// * [`ReadFault::RetentionExceeded`] if the data has aged (or been
     ///   read-disturbed) past what the ECC — and the retry ladder, if one
     ///   is installed — can correct.
@@ -624,13 +691,14 @@ impl NandDevice {
         type JudgeKey = (u32, u8, SimTime);
         let mut cached: Option<(JudgeKey, Result<(), ReadFault>, ReadEffort)> = None;
         let block_index = u64::from(self.geometry.block_index(page.block));
+        let first = self.subpage_index(page.subpage(0));
         for slot in 0..n_sub {
             self.stats.reads += 1;
             let addr = page.subpage(slot as u8);
             let (r, e) = if !self.forced_faults.is_empty() && self.forced_faults.contains(&addr) {
                 (Err(ReadFault::Injected), ReadEffort::NONE)
             } else {
-                match self.written_subpage(addr) {
+                match self.subpages[first + slot as usize].read() {
                     Err(e) => (Err(e), ReadEffort::NONE),
                     Ok(w) => {
                         let key = (w.pe_at_program, w.npp, w.programmed_at);
@@ -715,19 +783,34 @@ impl NandDevice {
     }
 
     fn written_subpage(&self, addr: SubpageAddr) -> Result<WrittenSubpage, ReadFault> {
-        assert!(self.geometry.contains(addr), "address outside geometry");
-        let block = self.block(addr.page.block);
-        block.pages[addr.page.page as usize]
-            .read_subpage(addr.slot)
-            .copied()
+        self.subpages[self.subpage_index(addr)].read()
     }
 
     /// Introspects the raw state of a subpage (no ECC judgment, no
-    /// statistics). Intended for tests and characterization harnesses.
+    /// statistics): the oracle for stored data, the mount scan, and the
+    /// characterization harnesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is outside the geometry.
     #[must_use]
-    pub fn subpage_state(&self, addr: SubpageAddr) -> &SubpageState {
-        assert!(self.geometry.contains(addr), "address outside geometry");
-        self.block(addr.page.block).pages[addr.page.page as usize].subpage(addr.slot)
+    pub fn subpage_state(&self, addr: SubpageAddr) -> SubpageState {
+        self.subpages[self.subpage_index(addr)].state()
+    }
+
+    /// Program operations on the page at `page` since its last erase (0
+    /// for an erased page; `N_sub` after a cut erase).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is outside the geometry.
+    #[must_use]
+    pub fn program_count(&self, page: PageAddr) -> u8 {
+        assert!(
+            self.geometry.contains(page.subpage(0)),
+            "address outside geometry"
+        );
+        self.programs[self.page_index(page)]
     }
 
     /// Erases a block, resetting all of its pages and incrementing its P/E
@@ -743,14 +826,8 @@ impl NandDevice {
     ///   and the block becomes a *grown bad block* that rejects all further
     ///   program/erase commands.
     pub fn erase(&mut self, addr: BlockAddr, _now: SimTime) -> Result<(), NandError> {
-        if self.dead {
-            return Err(NandError::DeviceDead);
-        }
-        let block = self.block_mut(addr)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        let pe = block.effective_pe();
+        let bi = self.erase_target(addr)?;
+        let pe = self.blocks[bi].effective_pe();
         // Depth is chosen from the wear *before* this erase (matching the
         // cost [`NandDevice::erase_cost`] reports); a full-depth erase is
         // exactly one P/E cycle of stress, so the adaptive-off path is
@@ -762,10 +839,9 @@ impl NandDevice {
         };
         // Consulted only after the command proved legal (see program_full).
         let failed = self.draw_erase_fault();
-        let block = self.block_mut(addr).expect("address already validated");
-        for page in &mut block.pages {
-            page.erase();
-        }
+        let (records, programs) = self.block_pages_mut(bi);
+        page::erase(records, programs);
+        let block = &mut self.blocks[bi];
         block.pe_cycles += 1;
         block.stress_milli += depth.stress_milli_pe();
         // A completed erase recovers a torn block and discharges the
@@ -777,11 +853,9 @@ impl NandDevice {
             self.stats.shallow_erases += 1;
         }
         self.note_op_executed();
-        let worn = self.block(addr).effective_pe();
-        self.note_wear(worn);
+        self.note_wear(self.blocks[bi].effective_pe());
         if failed {
-            let block = self.block_mut(addr).expect("address already validated");
-            block.bad = true;
+            self.blocks[bi].bad = true;
             self.stats.erase_failures += 1;
             return Err(NandError::EraseFailed);
         }
@@ -808,23 +882,9 @@ impl NandDevice {
     ///
     /// Same legality errors as [`NandDevice::program_full`].
     pub fn tear_program_full(&mut self, page: PageAddr) -> Result<(), NandError> {
-        if self.dead {
-            return Err(NandError::DeviceDead);
-        }
-        let block = self.block_mut(page.block)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        if block.torn {
-            return Err(NandError::TornBlock);
-        }
-        if page.page >= block.pages.len() as u32 {
-            return Err(NandError::AddressOutOfRange);
-        }
-        if page.page > 0 && block.pages[(page.page - 1) as usize].is_erased() {
-            return Err(NandError::NonSequentialProgram { page: page.page });
-        }
-        block.pages[page.page as usize].tear_program_full()?;
+        let (pi, _) = self.full_program_target(page)?;
+        let (records, programs) = self.page_mut(pi);
+        page::tear_program_full(records, programs)?;
         self.stats.torn_programs += 1;
         Ok(())
     }
@@ -838,21 +898,10 @@ impl NandDevice {
     ///
     /// Same legality errors as [`NandDevice::program_subpage`].
     pub fn tear_program_subpage(&mut self, addr: SubpageAddr) -> Result<(), NandError> {
-        if self.dead {
-            return Err(NandError::DeviceDead);
-        }
-        if !self.geometry.contains(addr) {
-            return Err(NandError::AddressOutOfRange);
-        }
-        let block = self.block_mut(addr.page.block)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        if block.torn {
-            return Err(NandError::TornBlock);
-        }
-        let destroyed = block.pages[addr.page.page as usize].tear_program_subpage(addr.slot)?;
-        self.stats.subpages_destroyed += destroyed.len() as u64;
+        let (pi, _) = self.subpage_program_target(addr)?;
+        let (records, programs) = self.page_mut(pi);
+        let destroyed = page::tear_program_subpage(records, programs, addr.slot)?;
+        self.stats.subpages_destroyed += u64::from(destroyed);
         self.stats.torn_programs += 1;
         Ok(())
     }
@@ -866,16 +915,11 @@ impl NandDevice {
     ///
     /// Same legality errors as [`NandDevice::erase`].
     pub fn tear_erase(&mut self, addr: BlockAddr) -> Result<(), NandError> {
-        if self.dead {
-            return Err(NandError::DeviceDead);
-        }
-        let block = self.block_mut(addr)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        for page in &mut block.pages {
-            page.tear_all();
-        }
+        let bi = self.erase_target(addr)?;
+        let n_sub = self.geometry.subpages_per_page as u8;
+        let (records, programs) = self.block_pages_mut(bi);
+        page::tear_erase(records, programs, n_sub);
+        let block = &mut self.blocks[bi];
         block.pe_cycles += 1;
         // An interrupted erase is charged full stress regardless of
         // adaptive mode: no status handshake happened, so the controller
@@ -887,6 +931,24 @@ impl NandDevice {
         block.reads_since_erase = 0;
         self.stats.torn_erases += 1;
         Ok(())
+    }
+
+    /// Checks that the block at `addr` accepts an erase and returns its
+    /// index.
+    ///
+    /// # Errors
+    ///
+    /// [`NandError::DeviceDead`], [`NandError::AddressOutOfRange`] or
+    /// [`NandError::BadBlock`], in that order.
+    fn erase_target(&self, addr: BlockAddr) -> Result<usize, NandError> {
+        if self.dead {
+            return Err(NandError::DeviceDead);
+        }
+        let bi = self.checked_block_index(addr)?;
+        if self.blocks[bi].bad {
+            return Err(NandError::BadBlock);
+        }
+        Ok(bi)
     }
 
     fn draw_program_fault(&mut self) -> bool {
@@ -1199,6 +1261,122 @@ mod tests {
         );
     }
 
+    /// Every state and program count of block `gbi`'s pages.
+    fn block_snapshot(d: &NandDevice, gbi: u32) -> Vec<(u8, Vec<SubpageState>)> {
+        let g = d.geometry();
+        (0..g.pages_per_block)
+            .map(|p| {
+                let page = g.block_addr(gbi).page(p);
+                let states = (0..g.subpages_per_page as u8)
+                    .map(|s| d.subpage_state(page.subpage(s)))
+                    .collect();
+                (d.program_count(page), states)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_page_or_slot_past_the_end_never_reaches_the_next_block() {
+        // In the flat table, page `pages_per_block` of block 0 and slot
+        // `N_sub` of its last page both index block 1's page 0.
+        let mut d = dev();
+        let g = d.geometry().clone();
+        let (blk, next) = (g.block_addr(0), g.block_addr(1));
+        let last = g.pages_per_block - 1;
+        for p in 0..last {
+            d.program_full(blk.page(p), &[Some(oob(u64::from(p))); 4], SimTime::ZERO)
+                .unwrap();
+        }
+        d.program_full(
+            next.page(0),
+            &[Some(oob(7)), None, Some(oob(8)), None],
+            SimTime::ZERO,
+        )
+        .unwrap();
+        let before = (block_snapshot(&d, 1), *d.stats(), d.ops_executed());
+        let past_page = blk.page(g.pages_per_block);
+        let past_slot = blk.page(last).subpage(g.subpages_per_page as u8);
+        let out = Err(NandError::AddressOutOfRange);
+        assert_eq!(d.program_full(past_page, &[None; 4], SimTime::ZERO), out);
+        assert_eq!(d.tear_program_full(past_page), out);
+        for addr in [past_page.subpage(0), past_slot] {
+            assert_eq!(d.program_subpage(addr, oob(9), SimTime::ZERO), out);
+            assert_eq!(d.tear_program_subpage(addr), out);
+        }
+        // One spare-area entry too many on the last page: the extra one
+        // would spill into the next block.
+        assert_eq!(
+            d.program_full(blk.page(last), &[Some(oob(9)); 5], SimTime::ZERO),
+            Err(NandError::SlotCountMismatch {
+                expected: 4,
+                got: 5
+            })
+        );
+        assert_eq!(d.program_count(blk.page(last)), 0);
+        assert_eq!(
+            (block_snapshot(&d, 1), *d.stats(), d.ops_executed()),
+            before
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "address outside geometry")]
+    fn block_past_the_chip_panics() {
+        let d = dev();
+        let past = BlockAddr {
+            chip: d.geometry().chip_addr(0),
+            block: d.geometry().blocks_per_chip,
+        };
+        let _ = d.pe_cycles(past);
+    }
+
+    #[test]
+    #[should_panic(expected = "address outside geometry")]
+    fn program_count_past_the_block_panics() {
+        let d = dev();
+        let _ = d.program_count(d.geometry().block_addr(0).page(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "address outside geometry")]
+    fn subpage_state_past_the_page_panics() {
+        let d = dev();
+        let _ = d.subpage_state(d.geometry().block_addr(0).page(3).subpage(4));
+    }
+
+    #[test]
+    fn erase_touches_only_its_own_block() {
+        // Blocks 7 and 9 sit on either side of block 8, across a chip
+        // boundary (8 blocks per chip).
+        let mut d = dev();
+        let g = d.geometry().clone();
+        for gbi in 7..10 {
+            for p in 0..g.pages_per_block {
+                let lsn = u64::from(gbi * 100 + p);
+                d.program_full(
+                    g.block_addr(gbi).page(p),
+                    &[Some(oob(lsn)); 4],
+                    SimTime::ZERO,
+                )
+                .unwrap();
+            }
+        }
+        let neighbours = |d: &NandDevice| (block_snapshot(d, 7), block_snapshot(d, 9));
+        let before = neighbours(&d);
+        d.erase(g.block_addr(8), SimTime::ZERO).unwrap();
+        for (programs, states) in block_snapshot(&d, 8) {
+            assert_eq!(programs, 0);
+            assert!(states.iter().all(|s| *s == SubpageState::Erased));
+        }
+        assert_eq!(neighbours(&d), before);
+        d.tear_erase(g.block_addr(8)).unwrap();
+        for (programs, states) in block_snapshot(&d, 8) {
+            assert_eq!(programs, 4, "a cut erase leaves every page exhausted");
+            assert!(states.iter().all(|s| *s == SubpageState::Torn));
+        }
+        assert_eq!(neighbours(&d), before);
+    }
+
     #[test]
     fn full_programs_must_follow_page_order() {
         let mut d = dev();
@@ -1288,7 +1466,7 @@ mod tests {
             Err(NandError::ProgramFailed)
         );
         // The pulse ran: the page counts a program, the slot holds garbage.
-        assert_eq!(d.block(page.block).page(0).program_count(), 1);
+        assert_eq!(d.program_count(page), 1);
         assert_eq!(
             d.read_subpage(page.subpage(0), SimTime::ZERO),
             Err(ReadFault::DestroyedByProgram)

@@ -65,6 +65,6 @@ pub use ecc::EccConfig;
 pub use error::{NandError, ReadFault};
 pub use fault::{FaultConfig, FaultModel};
 pub use geometry::{BlockAddr, ChipAddr, Geometry, PageAddr, SubpageAddr};
-pub use page::{Oob, Page, SubpageState, WrittenSubpage};
+pub use page::{Oob, SubpageState, WrittenSubpage};
 pub use reliability::{EraseDepth, ReadEffort, RetentionModel, RetryLadder};
 pub use timing::NandTiming;
