@@ -150,6 +150,12 @@ pub(crate) struct BlockPool {
     blocks: Vec<Block>,
     /// Erased blocks ready for allocation (pool-local indices).
     free: Vec<u32>,
+    /// Free blocks on each chip.
+    free_on_chip: Vec<u32>,
+    /// Chips that can take a page now (their active block has room or a
+    /// free block sits on them): chip `c` at bit `c % 64` of word `c / 64`.
+    /// Allocation finds its chip here instead of walking full chips.
+    ready: Vec<u64>,
     /// One active (open) block per chip, so programs stripe across chips.
     /// An active block only ever occupies its own chip's slot.
     actives: Vec<Option<u32>>,
@@ -173,7 +179,7 @@ impl BlockPool {
         chips: usize,
     ) -> Self {
         let units = pages_per_block * units_per_page;
-        BlockPool {
+        let mut pool = BlockPool {
             pages_per_block,
             units_per_page,
             blocks_per_chip,
@@ -182,11 +188,15 @@ impl BlockPool {
                 .map(|&g| Block::new(g, blocks_per_chip, units))
                 .collect(),
             free: (0..gbis.len() as u32).collect(),
+            free_on_chip: vec![0; chips],
+            ready: vec![0; chips.div_ceil(64)],
             actives: vec![None; chips],
             rr: 0,
             closed_seq_counter: 1,
             retired_bad: 0,
-        }
+        };
+        pool.recount_free();
+        pool
     }
 
     pub(crate) fn pages_per_block(&self) -> u32 {
@@ -297,12 +307,68 @@ impl BlockPool {
 
     /// Whether at least one more page can be allocated right now.
     pub(crate) fn can_alloc(&self) -> bool {
-        !self.free.is_empty()
-            || self
-                .actives
-                .iter()
-                .flatten()
-                .any(|&b| self.blocks[b as usize].programmed < self.pages_per_block)
+        self.ready.iter().any(|&w| w != 0)
+    }
+
+    /// Whether `chip`'s active block has room.
+    fn active_has_room(&self, chip: usize) -> bool {
+        self.actives[chip]
+            .is_some_and(|b| self.blocks[b as usize].programmed < self.pages_per_block)
+    }
+
+    /// Recomputes `chip`'s bit in `ready`; every change to the free list
+    /// or an active slot ends here.
+    fn refresh_ready(&mut self, chip: usize) {
+        let (w, mask) = (chip / 64, 1 << (chip % 64));
+        if self.free_on_chip[chip] > 0 || self.active_has_room(chip) {
+            self.ready[w] |= mask;
+        } else {
+            self.ready[w] &= !mask;
+        }
+    }
+
+    /// Recounts the free blocks per chip from the free list and refreshes
+    /// every chip's ready bit.
+    fn recount_free(&mut self) {
+        self.free_on_chip.fill(0);
+        for &b in &self.free {
+            self.free_on_chip[self.blocks[b as usize].chip as usize] += 1;
+        }
+        for chip in 0..self.actives.len() {
+            self.refresh_ready(chip);
+        }
+    }
+
+    /// Appends `block` to the free list.
+    fn push_free(&mut self, block: u32) {
+        let chip = self.blocks[block as usize].chip as usize;
+        self.free.push(block);
+        self.free_on_chip[chip] += 1;
+        self.refresh_ready(chip);
+    }
+
+    /// Takes the block at free-list position `pos` off the free list (the
+    /// last entry fills its place).
+    fn remove_free(&mut self, pos: usize) -> u32 {
+        let block = self.free.swap_remove(pos);
+        let chip = self.blocks[block as usize].chip as usize;
+        self.free_on_chip[chip] -= 1;
+        self.refresh_ready(chip);
+        block
+    }
+
+    /// The first ready chip in `lo..hi`.
+    fn first_ready_in(&self, lo: usize, hi: usize) -> Option<usize> {
+        let mut chip = lo;
+        while chip < hi {
+            let bits = self.ready[chip / 64] >> (chip % 64);
+            if bits != 0 {
+                let found = chip + bits.trailing_zeros() as usize;
+                return (found < hi).then_some(found);
+            }
+            chip = (chip / 64 + 1) * 64;
+        }
+        None
     }
 
     /// Stamps `block` with the next close sequence if it just became fully
@@ -317,57 +383,57 @@ impl BlockPool {
 
     /// Next write position: round-robins over the per-chip active blocks
     /// so consecutive programs land on different chips, refilling a chip
-    /// whose active block filled under `refill`.
+    /// whose active block filled under `refill`. The chip is the first
+    /// ready one from the cursor on, which is the first chip whose active
+    /// block has room or that holds a free block.
     ///
     /// # Panics
     ///
     /// Panics if no chip has space; callers check [`BlockPool::can_alloc`].
     fn alloc_page(&mut self, ssd: &Ssd, refill: Refill) -> (u32, u32) {
         let chips = self.actives.len();
-        // Every chip's refill pick, found in ONE pass over the free list
-        // and computed lazily on the first chip that needs one. The pool
-        // is not mutated until a pick succeeds (which returns), so the
-        // single pass sees exactly what per-chip scans would see; keeping
-        // the first strict minimum reproduces the per-chip tie-breaks.
-        let mut picks: Option<Vec<Option<(u64, usize)>>> = None;
-        for i in 0..chips {
-            let chip = (self.rr + i) % chips;
-            let usable = self.actives[chip]
-                .is_some_and(|b| self.blocks[b as usize].programmed < self.pages_per_block);
-            if !usable {
-                let picks = picks.get_or_insert_with(|| {
-                    let mut p: Vec<Option<(u64, usize)>> = vec![None; chips];
-                    for (idx, &b) in self.free.iter().enumerate() {
-                        let c = self.blocks[b as usize].chip as usize;
-                        // Smaller key wins; (pe, index) packs as
-                        // pe << 32 | index.
-                        let key = match refill {
-                            Refill::FirstFree if p[c].is_some() => continue,
-                            Refill::FirstFree => 0,
-                            Refill::LeastWorn => u64::from(self.block_pe(b, ssd)),
-                            Refill::LeastWornLowestIndex => {
-                                u64::from(self.block_pe(b, ssd)) << 32 | u64::from(b)
-                            }
-                        };
-                        if p[c].is_none_or(|(best, _)| key < best) {
-                            p[c] = Some((key, idx));
-                        }
-                    }
-                    p
-                });
-                match picks[chip] {
-                    Some((_, p)) => self.actives[chip] = Some(self.free.swap_remove(p)),
-                    None => continue, // this chip is out of space; try next
-                }
-            }
-            let block = self.actives[chip].expect("just ensured");
-            let page = self.blocks[block as usize].programmed;
-            self.blocks[block as usize].programmed += 1;
-            self.note_closed(block);
-            self.rr = chip + 1;
-            return (block, page);
+        let from = self.rr % chips;
+        let chip = self
+            .first_ready_in(from, chips)
+            .or_else(|| self.first_ready_in(0, from))
+            .expect("no free block on any chip: pool overcommitted");
+        if !self.active_has_room(chip) {
+            let pos = self
+                .refill_pick(chip, ssd, refill)
+                .expect("a ready chip without room holds a free block");
+            let block = self.remove_free(pos);
+            self.actives[chip] = Some(block);
         }
-        panic!("no free block on any chip: pool overcommitted");
+        let block = self.actives[chip].expect("just ensured");
+        let page = self.blocks[block as usize].programmed;
+        self.blocks[block as usize].programmed += 1;
+        self.note_closed(block);
+        self.refresh_ready(chip);
+        self.rr = chip + 1;
+        (block, page)
+    }
+
+    /// Free-list position of `chip`'s next active block under `refill`:
+    /// the first strict minimum of the refill key in free-list order.
+    fn refill_pick(&self, chip: usize, ssd: &Ssd, refill: Refill) -> Option<usize> {
+        let mut best: Option<(u64, usize)> = None;
+        for (pos, &b) in self.free.iter().enumerate() {
+            if self.blocks[b as usize].chip as usize != chip {
+                continue;
+            }
+            // Smaller key wins; (pe, index) packs as pe << 32 | index.
+            let key = match refill {
+                Refill::FirstFree => return Some(pos),
+                Refill::LeastWorn => u64::from(self.block_pe(b, ssd)),
+                Refill::LeastWornLowestIndex => {
+                    u64::from(self.block_pe(b, ssd)) << 32 | u64::from(b)
+                }
+            };
+            if best.is_none_or(|(k, _)| key < k) {
+                best = Some((key, pos));
+            }
+        }
+        best.map(|(_, pos)| pos)
     }
 
     /// Programs one full page at the next write position. A program that
@@ -507,6 +573,7 @@ impl BlockPool {
         let chip = self.blocks[block as usize].chip as usize;
         if self.actives[chip] == Some(block) {
             self.actives[chip] = None;
+            self.refresh_ready(chip);
         }
     }
 
@@ -523,20 +590,23 @@ impl BlockPool {
     ) -> Result<SimTime, SimTime> {
         debug_assert_eq!(self.valid_count(block), 0, "erasing live data");
         let result = erase_or_retire(ssd, self.gbi(block), stats, issue);
+        self.after_erase(block, result.is_ok());
+        result
+    }
+
+    /// Frees `block` after a completed erase, or retires it (grown bad)
+    /// after a failed one.
+    fn after_erase(&mut self, block: u32, erased: bool) {
         let b = &mut self.blocks[block as usize];
         b.clear_valid();
         b.closed_seq = 0;
-        match result {
-            Ok(_) => {
-                b.programmed = 0;
-                self.free.push(block);
-            }
-            Err(_) => {
-                self.retired_bad += 1;
-                self.take_out(block);
-            }
+        if erased {
+            b.programmed = 0;
+            self.push_free(block);
+        } else {
+            self.retired_bad += 1;
+            self.take_out(block);
         }
-        result
     }
 
     /// Marks `block` retired and removes it from the free list and its
@@ -544,7 +614,7 @@ impl BlockPool {
     fn take_out(&mut self, block: u32) {
         self.blocks[block as usize].retired = true;
         if let Some(pos) = self.free.iter().position(|&f| f == block) {
-            self.free.swap_remove(pos);
+            self.remove_free(pos);
         }
         self.leave_active(block);
     }
@@ -591,7 +661,7 @@ impl BlockPool {
     /// it leaves the free list and is never used here again. Returns its
     /// device-global index.
     pub(crate) fn donate(&mut self, pos: usize) -> u32 {
-        let local = self.free.swap_remove(pos);
+        let local = self.remove_free(pos);
         self.blocks[local as usize].retired = true;
         self.blocks[local as usize].gbi
     }
@@ -601,7 +671,7 @@ impl BlockPool {
         let units = self.units_per_block();
         self.blocks
             .push(Block::new(gbi, self.blocks_per_chip, units));
-        self.free.push((self.blocks.len() - 1) as u32);
+        self.push_free((self.blocks.len() - 1) as u32);
     }
 
     /// Rebuilds allocation state after a post-crash scan: `programmed[b]`
@@ -643,6 +713,7 @@ impl BlockPool {
                 self.blocks[i].programmed = self.pages_per_block;
             }
         }
+        self.recount_free();
     }
 
     /// Order-independent digest of the allocation state (free list, open
@@ -683,16 +754,25 @@ impl BlockPool {
     /// is exactly one of free (erased, nothing valid), active (in its own
     /// chip's slot) or closed (fully programmed); retired blocks are in
     /// neither list and hold nothing valid; every `valid_count` matches
-    /// its validity units.
+    /// its validity units; the per-chip free counts and ready bits match
+    /// the free list and the active slots.
     ///
     /// # Panics
     ///
     /// Panics on the first violation.
     pub(crate) fn check_invariants(&self) {
         let mut in_free = vec![false; self.blocks.len()];
+        let mut free_on_chip = vec![0; self.actives.len()];
         for &f in &self.free {
             assert!(!in_free[f as usize], "block {f} listed free twice");
             in_free[f as usize] = true;
+            free_on_chip[self.blocks[f as usize].chip as usize] += 1;
+        }
+        assert_eq!(free_on_chip, self.free_on_chip, "free counts out of sync");
+        for (chip, &free) in free_on_chip.iter().enumerate() {
+            let ready = free > 0 || self.active_has_room(chip);
+            let bit = self.ready[chip / 64] >> (chip % 64) & 1 == 1;
+            assert_eq!(bit, ready, "chip {chip}: ready bit out of sync");
         }
         for (i, b) in self.blocks.iter().enumerate() {
             let set: u32 = b.valid.iter().map(|w| w.count_ones()).sum();
@@ -719,13 +799,175 @@ impl BlockPool {
 
 #[cfg(test)]
 mod tests {
-    use esp_nand::{DeviceStats, OpKind};
-    use esp_sim::{SimDuration, SimTime};
+    use esp_nand::{DeviceStats, FaultConfig, Geometry, OpKind};
+    use esp_sim::{Rng, SimDuration, SimTime};
+    use esp_ssd::Ssd;
     use esp_workload::{generate, SyntheticConfig};
 
-    use super::BlockPool;
+    use super::{erase_or_retire, BlockPool, Refill};
+    use crate::stats::FtlStats;
     use crate::test_fixtures::all_ftls;
     use crate::{run_trace_qd, CgmFtl, Ftl, FtlConfig};
+
+    /// Allocation as it was before the ready bitset: walk the chips from
+    /// the cursor, building every chip's refill pick in one pass over the
+    /// free list on the first chip whose active block is full.
+    fn alloc_page_by_walk(pool: &mut BlockPool, ssd: &Ssd, refill: Refill) -> (u32, u32) {
+        let chips = pool.actives.len();
+        let mut picks: Option<Vec<Option<(u64, usize)>>> = None;
+        for i in 0..chips {
+            let chip = (pool.rr + i) % chips;
+            let usable = pool.actives[chip]
+                .is_some_and(|b| pool.blocks[b as usize].programmed < pool.pages_per_block);
+            if !usable {
+                let picks = picks.get_or_insert_with(|| {
+                    let mut p: Vec<Option<(u64, usize)>> = vec![None; chips];
+                    for (idx, &b) in pool.free.iter().enumerate() {
+                        let c = pool.blocks[b as usize].chip as usize;
+                        let key = match refill {
+                            Refill::FirstFree if p[c].is_some() => continue,
+                            Refill::FirstFree => 0,
+                            Refill::LeastWorn => u64::from(pool.block_pe(b, ssd)),
+                            Refill::LeastWornLowestIndex => {
+                                u64::from(pool.block_pe(b, ssd)) << 32 | u64::from(b)
+                            }
+                        };
+                        if p[c].is_none_or(|(best, _)| key < best) {
+                            p[c] = Some((key, idx));
+                        }
+                    }
+                    p
+                });
+                match picks[chip] {
+                    Some((_, p)) => pool.actives[chip] = Some(pool.remove_free(p)),
+                    None => continue,
+                }
+            }
+            let block = pool.actives[chip].expect("just ensured");
+            let page = pool.blocks[block as usize].programmed;
+            pool.blocks[block as usize].programmed += 1;
+            pool.note_closed(block);
+            pool.refresh_ready(chip);
+            pool.rr = chip + 1;
+            return (block, page);
+        }
+        panic!("no free block on any chip: pool overcommitted");
+    }
+
+    /// `can_alloc` as it was before the ready bitset.
+    fn can_alloc_by_walk(pool: &BlockPool) -> bool {
+        !pool.free.is_empty()
+            || pool
+                .actives
+                .iter()
+                .flatten()
+                .any(|&b| pool.blocks[b as usize].programmed < pool.pages_per_block)
+    }
+
+    #[test]
+    fn ready_chips_allocate_exactly_as_the_chip_walk() {
+        // Six chips, and 70 chips so the ready bitset spans two words.
+        for (channels, ways, blocks_per_chip) in [(2, 3, 6), (7, 10, 3)] {
+            let g = Geometry {
+                channels,
+                chips_per_channel: ways,
+                blocks_per_chip,
+                pages_per_block: 4,
+                ..Geometry::tiny()
+            };
+            let chips = g.chip_count() as usize;
+            for seed in 0..6 {
+                let mut ssd = Ssd::new(g.clone());
+                ssd.device_mut().set_faults(FaultConfig {
+                    seed,
+                    erase_fail_prob: 0.03,
+                    ..FaultConfig::default()
+                });
+                // Each chip's last block stays out of the pool, to adopt.
+                let (gbis, mut outside): (Vec<u32>, Vec<u32>) =
+                    (0..g.block_count()).partition(|b| b % blocks_per_chip != blocks_per_chip - 1);
+                let mut pool = BlockPool::new(&gbis, g.pages_per_block, 1, blocks_per_chip, chips);
+                let mut walk = pool.clone();
+                let mut stats = FtlStats::default();
+                let mut rng = Rng::seed_from(seed);
+                let refills = [
+                    Refill::LeastWorn,
+                    Refill::FirstFree,
+                    Refill::LeastWornLowestIndex,
+                ];
+                let mut allocated = 0;
+                for step in 0..3_000 {
+                    let blocks = pool.blocks.len() as u64;
+                    let block = rng.next_below(blocks) as u32;
+                    match rng.next_below(100) {
+                        0..=59 => {
+                            let refill = refills[rng.next_below(3) as usize];
+                            let can = can_alloc_by_walk(&walk);
+                            assert_eq!(pool.can_alloc(), can, "seed {seed} step {step}");
+                            if can {
+                                let got = pool.alloc_page(&ssd, refill);
+                                let want = alloc_page_by_walk(&mut walk, &ssd, refill);
+                                assert_eq!(got, want, "seed {seed} step {step}");
+                                allocated += 1;
+                            }
+                        }
+                        60..=79 => {
+                            let victims: Vec<u32> = pool.collectable().map(|(b, _)| b).collect();
+                            if !victims.is_empty() {
+                                let b = victims[rng.next_below(victims.len() as u64) as usize];
+                                let gbi = pool.gbi(b);
+                                let erased =
+                                    erase_or_retire(&mut ssd, gbi, &mut stats, SimTime::ZERO)
+                                        .is_ok();
+                                pool.after_erase(b, erased);
+                                walk.after_erase(b, erased);
+                            }
+                        }
+                        80..=85 => {
+                            let b = &pool.blocks[block as usize];
+                            if !b.retired && b.programmed > 0 {
+                                pool.close(block);
+                                walk.close(block);
+                            }
+                        }
+                        86..=88 => {
+                            let gbi = pool.gbi(block);
+                            assert_eq!(pool.retire_gbi(gbi), walk.retire_gbi(gbi));
+                        }
+                        89..=92 => {
+                            if !pool.free.is_empty() {
+                                let pos = rng.next_below(pool.free.len() as u64) as usize;
+                                let gbi = pool.donate(pos);
+                                assert_eq!(walk.donate(pos), gbi);
+                                outside.push(gbi);
+                            }
+                        }
+                        93..=96 => {
+                            if let Some(gbi) = outside.pop() {
+                                pool.adopt(gbi);
+                                walk.adopt(gbi);
+                            }
+                        }
+                        _ => {
+                            let programmed: Vec<u32> = (0..blocks)
+                                .map(|_| match rng.next_below(3) {
+                                    0 => 0,
+                                    1 => g.pages_per_block,
+                                    _ => rng.next_below(u64::from(g.pages_per_block)) as u32,
+                                })
+                                .collect();
+                            pool.restore(&programmed);
+                            walk.restore(&programmed);
+                        }
+                    }
+                    assert_eq!(pool.free, walk.free, "seed {seed} step {step}");
+                    assert_eq!(pool.actives, walk.actives, "seed {seed} step {step}");
+                    pool.check_invariants();
+                }
+                assert!(allocated > 500, "seed {seed}: only {allocated} allocations");
+            }
+        }
+    }
 
     fn background_config() -> FtlConfig {
         FtlConfig {

@@ -15,7 +15,10 @@
 //! load), stored as parallel arrays of 8-byte keys and 12-byte packed
 //! entries — 20 bytes per slot — with probe-length statistics and exact
 //! memory accounting. These are the numbers behind the
-//! `table_mapping_memory` experiment.
+//! `table_mapping_memory` experiment. Beside them sits a one-bit-per-slot
+//! occupancy bitset, the host's lookup accelerator (not part of the
+//! table the paper sizes): most lookups are removes that miss, and a miss
+//! on an empty home slot then reads one bit instead of a random key.
 
 use esp_sim::SimTime;
 
@@ -51,6 +54,15 @@ struct Packed {
 }
 
 const EMPTY_KEY: u64 = u64::MAX;
+
+/// `key`'s home slot in a table of `slots` slots: a SplitMix64 finalizer,
+/// cheap and well distributed.
+fn home_slot(key: u64, slots: usize) -> usize {
+    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) % slots as u64) as usize
+}
 
 impl Packed {
     fn pack(e: SubEntry) -> Packed {
@@ -104,6 +116,8 @@ impl ProbeStats {
 pub struct SubpageMap {
     keys: Vec<u64>,
     vals: Vec<Packed>,
+    /// Slot `i` holds a key iff bit `i % 64` of word `i / 64` is set.
+    occupied: Vec<u64>,
     len: usize,
     max_entries: usize,
     stats: ProbeStats,
@@ -123,6 +137,7 @@ impl SubpageMap {
         let slots = max_entries * 5 / 4 + 1;
         SubpageMap {
             keys: vec![EMPTY_KEY; slots],
+            occupied: vec![0; slots.div_ceil(64)],
             vals: vec![
                 Packed {
                     block: 0,
@@ -143,8 +158,9 @@ impl SubpageMap {
         self.len
     }
 
-    /// Exact memory footprint of the backing arrays in bytes
-    /// (8-byte key + 12-byte packed entry per slot).
+    /// Exact memory footprint of the table the paper sizes, in bytes
+    /// (8-byte key + 12-byte packed entry per slot). The occupancy bitset,
+    /// one bit per slot, is a host-side lookup aid and is not counted.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.keys.len() * std::mem::size_of::<u64>()
@@ -157,12 +173,8 @@ impl SubpageMap {
         self.stats
     }
 
-    /// SplitMix64 finalizer: cheap, well-distributed home-slot hashing.
     fn home(&self, key: u64) -> usize {
-        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % self.keys.len() as u64) as usize
+        home_slot(key, self.keys.len())
     }
 
     fn next(&self, idx: usize) -> usize {
@@ -180,18 +192,33 @@ impl SubpageMap {
         self.stats.max_probe = self.stats.max_probe.max(extra + 1);
     }
 
-    /// Index of `key` if present, or of the first empty slot otherwise.
+    fn is_occupied(&self, idx: usize) -> bool {
+        self.occupied[idx / 64] >> (idx % 64) & 1 == 1
+    }
+
+    /// Marks slot `idx` as holding a key (`true`) or empty.
+    fn set_occupied(&mut self, idx: usize, on: bool) {
+        let mask = 1 << (idx % 64);
+        if on {
+            self.occupied[idx / 64] |= mask;
+        } else {
+            self.occupied[idx / 64] &= !mask;
+        }
+    }
+
+    /// Index of `key` if present, or of the first empty slot otherwise,
+    /// and the probe steps taken beyond the home slot. An empty slot is
+    /// told by its occupancy bit, before its key is read.
     fn find(&self, key: u64) -> (usize, bool, u64) {
         debug_assert_ne!(key, EMPTY_KEY, "sentinel key is reserved");
         let mut idx = self.home(key);
         let mut extra = 0;
         loop {
-            let k = self.keys[idx];
-            if k == key {
-                return (idx, true, extra);
-            }
-            if k == EMPTY_KEY {
+            if !self.is_occupied(idx) {
                 return (idx, false, extra);
+            }
+            if self.keys[idx] == key {
+                return (idx, true, extra);
             }
             idx = self.next(idx);
             extra += 1;
@@ -240,6 +267,7 @@ impl SubpageMap {
             );
             self.keys[idx] = lsn;
             self.vals[idx] = Packed::pack(entry);
+            self.set_occupied(idx, true);
             self.len += 1;
             None
         }
@@ -272,11 +300,8 @@ impl SubpageMap {
         let n = self.keys.len();
         let mut hole = idx;
         let mut cursor = self.next(hole);
-        loop {
+        while self.is_occupied(cursor) {
             let key = self.keys[cursor];
-            if key == EMPTY_KEY {
-                break;
-            }
             let home = self.home(key);
             // Move back iff the hole lies within [home, cursor) cyclically.
             let dist_home = (cursor + n - home) % n;
@@ -289,6 +314,7 @@ impl SubpageMap {
             cursor = self.next(cursor);
         }
         self.keys[hole] = EMPTY_KEY;
+        self.set_occupied(hole, false);
         Some(removed)
     }
 
@@ -446,6 +472,124 @@ mod tests {
         let mut m = SubpageMap::with_capacity(4);
         for k in 0..100u64 {
             m.insert(k, e(0));
+        }
+    }
+
+    /// The map as it was before the occupancy bitset: an empty slot is
+    /// told by its sentinel key.
+    struct KeyProbed {
+        keys: Vec<u64>,
+        vals: Vec<SubEntry>,
+        stats: ProbeStats,
+    }
+
+    impl KeyProbed {
+        fn new(max_entries: usize) -> Self {
+            let slots = max_entries * 5 / 4 + 1;
+            KeyProbed {
+                keys: vec![EMPTY_KEY; slots],
+                vals: vec![e(0); slots],
+                stats: ProbeStats::default(),
+            }
+        }
+
+        fn next(&self, idx: usize) -> usize {
+            (idx + 1) % self.keys.len()
+        }
+
+        /// Finds `key` and counts the lookup.
+        fn probe(&mut self, key: u64) -> (usize, bool) {
+            let mut idx = home_slot(key, self.keys.len());
+            let mut extra = 0;
+            let found = loop {
+                match self.keys[idx] {
+                    k if k == key => break true,
+                    EMPTY_KEY => break false,
+                    _ => {}
+                }
+                idx = self.next(idx);
+                extra += 1;
+            };
+            self.stats.lookups += 1;
+            self.stats.extra_probes += extra;
+            self.stats.max_probe = self.stats.max_probe.max(extra + 1);
+            (idx, found)
+        }
+
+        fn get(&mut self, key: u64) -> Option<SubEntry> {
+            let (idx, found) = self.probe(key);
+            found.then_some(self.vals[idx])
+        }
+
+        fn insert(&mut self, key: u64, entry: SubEntry) -> Option<SubEntry> {
+            let (idx, found) = self.probe(key);
+            let old = found.then_some(self.vals[idx]);
+            self.keys[idx] = key;
+            self.vals[idx] = entry;
+            old
+        }
+
+        fn update(&mut self, key: u64) -> bool {
+            let (idx, found) = self.probe(key);
+            if found {
+                self.vals[idx].updated = true;
+            }
+            found
+        }
+
+        fn remove(&mut self, key: u64) -> Option<SubEntry> {
+            let (idx, found) = self.probe(key);
+            if !found {
+                return None;
+            }
+            let removed = self.vals[idx];
+            let n = self.keys.len();
+            let (mut hole, mut cursor) = (idx, self.next(idx));
+            while self.keys[cursor] != EMPTY_KEY {
+                let home = home_slot(self.keys[cursor], n);
+                if (cursor + n - home) % n >= (cursor + n - hole) % n {
+                    self.keys[hole] = self.keys[cursor];
+                    self.vals[hole] = self.vals[cursor];
+                    hole = cursor;
+                }
+                cursor = self.next(cursor);
+            }
+            self.keys[hole] = EMPTY_KEY;
+            Some(removed)
+        }
+    }
+
+    #[test]
+    fn occupancy_bits_change_no_result_and_no_probe_count() {
+        for seed in 0..6u64 {
+            let cap = 64 + 40 * seed as usize;
+            let mut m = SubpageMap::with_capacity(cap);
+            let mut reference = KeyProbed::new(cap);
+            let mut rng = esp_sim::Rng::seed_from(seed);
+            for step in 0..20_000u64 {
+                let key = rng.next_below(3 * cap as u64);
+                let entry = e(step as u32);
+                match rng.next_below(4) {
+                    0 if m.len() < cap || m.contains(key) => {
+                        assert_eq!(m.insert(key, entry), reference.insert(key, entry));
+                    }
+                    1 => assert_eq!(m.update(key, |x| x.updated = true), reference.update(key)),
+                    2 => assert_eq!(m.remove(key), reference.remove(key)),
+                    _ => assert_eq!(m.get(key), reference.get(key)),
+                }
+                assert_eq!(m.probe_stats(), reference.stats, "seed {seed} step {step}");
+            }
+            let live: Vec<(u64, SubEntry)> = reference
+                .keys
+                .iter()
+                .zip(&reference.vals)
+                .filter(|(&k, _)| k != EMPTY_KEY)
+                .map(|(&k, &v)| (k, v))
+                .collect();
+            assert_eq!(m.iter().collect::<Vec<_>>(), live, "seed {seed}");
+            for (i, &k) in m.keys.iter().enumerate() {
+                assert_eq!(m.is_occupied(i), k != EMPTY_KEY, "seed {seed} slot {i}");
+            }
         }
     }
 

@@ -6,12 +6,17 @@
 //! (which chip is busy when) lives in the `esp-ssd` crate. Keeping mechanism
 //! and timing separate lets unit tests drive the state machine directly.
 //!
-//! Subpage state lives in one device-wide table: one 32-byte record per
-//! subpage, indexed `(global block × pages_per_block + page) × N_sub +
-//! slot`, beside one program count per page. An erase is a fill of the
-//! block's slice. Every command checks its address against the geometry
-//! before it computes a flat index: in a flat table an out-of-range page or
-//! slot would silently land in the next page or block.
+//! Page state lives in two device-wide tables. Every written subpage of a
+//! page comes from the page's last program (each program destroys the
+//! page's other written subpages), so the last program's time and wear,
+//! the program count and each slot's kind make one 16-byte record per
+//! page, indexed `global block × pages_per_block + page`. Each subpage's
+//! spare area (`lsn`, `seq`) is a 16-byte record indexed `page index ×
+//! N_sub + slot`: 20 bytes per subpage at four subpages per page. An erase
+//! fills the block's page records and leaves the spare areas alone. Every
+//! command checks its address against the geometry before it computes a
+//! flat index: in a flat table an out-of-range page or slot would silently
+//! land in the next page or block.
 
 use std::collections::HashSet;
 
@@ -20,12 +25,12 @@ use esp_sim::{SimDuration, SimTime};
 use crate::error::{NandError, ReadFault};
 use crate::fault::{FaultConfig, FaultModel};
 use crate::geometry::{BlockAddr, Geometry, PageAddr, SubpageAddr};
-use crate::page::{self, Oob, Subpage, SubpageState, WrittenSubpage};
+use crate::page::{self, Oob, PageRec, SubpageState};
 use crate::reliability::{EraseDepth, ReadEffort, RetentionModel, RetryLadder};
 use crate::timing::NandTiming;
 
 /// One erase block's wear and health state (its pages' contents live in
-/// the device's subpage table).
+/// the device's page and spare-area tables).
 #[derive(Debug, Clone, Default)]
 pub struct Block {
     pe_cycles: u32,
@@ -185,12 +190,14 @@ pub struct NandDevice {
     retention: RetentionModel,
     /// Blocks indexed by the device-global block index.
     blocks: Vec<Block>,
-    /// Every subpage's record: the record of (global block `b`, page `p`,
-    /// slot `s`) is at `(b × pages_per_block + p) × N_sub + s`.
-    subpages: Vec<Subpage>,
-    /// Program operations per page since its last erase, at
-    /// `b × pages_per_block + p`.
-    programs: Vec<u8>,
+    /// Every page's record (last program, program count, slot kinds): the
+    /// record of (global block `b`, page `p`) is at `b × pages_per_block +
+    /// p`.
+    pages: Vec<PageRec>,
+    /// Every subpage's spare area: (global block `b`, page `p`, slot `s`)
+    /// is at `(b × pages_per_block + p) × N_sub + s`. Meaningful only
+    /// while the slot's page record says it holds data.
+    spare: Vec<Oob>,
     stats: DeviceStats,
     forced_faults: HashSet<SubpageAddr>,
     faults: Option<FaultModel>,
@@ -236,8 +243,8 @@ impl NandDevice {
         let pages = subpages / geometry.subpages_per_page as usize;
         NandDevice {
             blocks: vec![Block::default(); geometry.block_count() as usize],
-            subpages: vec![Subpage::ERASED; subpages],
-            programs: vec![0; pages],
+            pages: vec![PageRec::ERASED; pages],
+            spare: vec![Oob { lsn: 0, seq: 0 }; subpages],
             geometry,
             timing,
             retention,
@@ -398,42 +405,49 @@ impl NandDevice {
         }
     }
 
-    /// Flat index of `page` into `programs`; its records start at `N_sub`
-    /// times this in `subpages`. The caller has checked the address.
+    /// Flat index of `page` into `pages`; its spare areas start at `N_sub`
+    /// times this in `spare`. The caller has checked the address.
     fn page_index(&self, page: PageAddr) -> usize {
         debug_assert!(self.geometry.contains(page.subpage(0)));
         self.geometry.block_index(page.block) as usize * self.geometry.pages_per_block as usize
             + page.page as usize
     }
 
-    /// Flat index of the subpage at `addr` into `subpages`.
+    /// Flat index of `page` into `pages`.
     ///
     /// # Panics
     ///
     /// Panics if the address is outside the geometry.
-    fn subpage_index(&self, addr: SubpageAddr) -> usize {
+    fn checked_page_index(&self, page: PageAddr) -> usize {
+        assert!(
+            self.geometry.contains(page.subpage(0)),
+            "address outside geometry"
+        );
+        self.page_index(page)
+    }
+
+    /// The record and the spare area of the subpage at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is outside the geometry.
+    fn slot(&self, addr: SubpageAddr) -> (&PageRec, Oob) {
         assert!(self.geometry.contains(addr), "address outside geometry");
-        self.page_index(addr.page) * self.geometry.subpages_per_page as usize
-            + usize::from(addr.slot)
-    }
-
-    /// The records and the program count of the page at flat index `pi`.
-    fn page_mut(&mut self, pi: usize) -> (&mut [Subpage], &mut u8) {
+        let pi = self.page_index(addr.page);
         let n = self.geometry.subpages_per_page as usize;
-        (
-            &mut self.subpages[pi * n..(pi + 1) * n],
-            &mut self.programs[pi],
-        )
+        (&self.pages[pi], self.spare[pi * n + usize::from(addr.slot)])
     }
 
-    /// The records and the program counts of every page of block `bi`.
-    fn block_pages_mut(&mut self, bi: usize) -> (&mut [Subpage], &mut [u8]) {
+    /// The record and the spare areas of the page at flat index `pi`.
+    fn page_mut(&mut self, pi: usize) -> (&mut PageRec, &mut [Oob]) {
+        let n = self.geometry.subpages_per_page as usize;
+        (&mut self.pages[pi], &mut self.spare[pi * n..(pi + 1) * n])
+    }
+
+    /// The records of every page of block `bi`.
+    fn block_pages_mut(&mut self, bi: usize) -> &mut [PageRec] {
         let pages = self.geometry.pages_per_block as usize;
-        let n = self.geometry.subpages_per_page as usize;
-        (
-            &mut self.subpages[bi * pages * n..(bi + 1) * pages * n],
-            &mut self.programs[bi * pages..(bi + 1) * pages],
-        )
+        &mut self.pages[bi * pages..(bi + 1) * pages]
     }
 
     /// Checks that the block at `addr` accepts programs and returns its
@@ -470,7 +484,7 @@ impl NandDevice {
         let pi = self.page_index(page);
         // Word lines must be programmed in order: a full-page program is
         // only legal if the preceding page has been programmed.
-        if page.page > 0 && self.programs[pi - 1] == 0 {
+        if page.page > 0 && self.pages[pi - 1].programs() == 0 {
             return Err(NandError::NonSequentialProgram { page: page.page });
         }
         Ok((pi, pe))
@@ -568,14 +582,16 @@ impl NandDevice {
         now: SimTime,
     ) -> Result<(), NandError> {
         let (pi, pe) = self.full_program_target(page)?;
-        let (records, programs) = self.page_mut(pi);
-        page::program_full(records, programs, oobs, now, pe)?;
+        let (rec, spare) = self.page_mut(pi);
+        page::program_full(rec, spare, oobs, now, pe)?;
         self.stats.full_programs += 1;
         self.note_op_executed();
         // The fault stream is consulted only after the command proved legal,
         // so illegal commands never advance (or even require) the RNG.
         if self.draw_program_fault() {
-            self.page_mut(pi).0.iter_mut().for_each(Subpage::destroy);
+            for slot in 0..oobs.len() {
+                self.pages[pi].destroy(slot);
+            }
             self.stats.program_failures += 1;
             return Err(NandError::ProgramFailed);
         }
@@ -606,14 +622,14 @@ impl NandDevice {
         now: SimTime,
     ) -> Result<(), NandError> {
         let (pi, pe) = self.subpage_program_target(addr)?;
-        let (records, programs) = self.page_mut(pi);
-        let destroyed = page::program_subpage(records, programs, addr.slot, oob, now, pe)?;
+        let (rec, spare) = self.page_mut(pi);
+        let destroyed = page::program_subpage(rec, spare, addr.slot, oob, now, pe)?;
         self.stats.subpage_programs += 1;
         self.stats.subpages_destroyed += u64::from(destroyed);
         self.note_op_executed();
         // Consulted only after the command proved legal (see program_full).
         if self.draw_program_fault() {
-            self.page_mut(pi).0[usize::from(addr.slot)].destroy();
+            self.pages[pi].destroy(usize::from(addr.slot));
             self.stats.program_failures += 1;
             return Err(NandError::ProgramFailed);
         }
@@ -683,35 +699,25 @@ impl NandDevice {
         out.reserve(n_sub as usize);
         let results = out;
         let mut effort = ReadEffort::NONE;
-        // Slots programmed by one full-page program share
-        // `(pe_at_program, npp, programmed_at)`, and the BER verdict is a
-        // pure function of those inputs (plus per-call constants), so the
-        // common case runs the float model once per page, not once per
-        // slot. Identical inputs give bit-identical verdicts — exact.
-        type JudgeKey = (u32, u8, SimTime);
-        let mut cached: Option<(JudgeKey, Result<(), ReadFault>, ReadEffort)> = None;
+        let pi = self.checked_page_index(page);
+        let rec = self.pages[pi];
+        let first = pi * n_sub as usize;
         let block_index = u64::from(self.geometry.block_index(page.block));
-        let first = self.subpage_index(page.subpage(0));
-        for slot in 0..n_sub {
+        // Every slot that holds data comes from the page's last program, so
+        // they share one BER verdict: judged once, on the first data slot.
+        let mut verdict: Option<(Result<(), ReadFault>, ReadEffort)> = None;
+        for slot in 0..n_sub as usize {
             self.stats.reads += 1;
             let addr = page.subpage(slot as u8);
             let (r, e) = if !self.forced_faults.is_empty() && self.forced_faults.contains(&addr) {
                 (Err(ReadFault::Injected), ReadEffort::NONE)
             } else {
-                match self.subpages[first + slot as usize].read() {
+                match rec.data(slot) {
                     Err(e) => (Err(e), ReadEffort::NONE),
-                    Ok(w) => {
-                        let key = (w.pe_at_program, w.npp, w.programmed_at);
-                        let (verdict, eff) = match cached {
-                            Some((k, v, eff)) if k == key => (v, eff),
-                            _ => {
-                                let (v, eff) = self.judge_written(block_index, &w, now);
-                                cached = Some((key, v, eff));
-                                (v, eff)
-                            }
-                        };
-                        let oob = w.oob.expect("written_subpage filters padding");
-                        (verdict.map(|()| oob), eff)
+                    Ok(()) => {
+                        let (v, eff) =
+                            *verdict.get_or_insert_with(|| self.judge(block_index, &rec, now));
+                        (v.map(|()| self.spare[first + slot]), eff)
                     }
                 }
             };
@@ -735,29 +741,30 @@ impl NandDevice {
         if !self.forced_faults.is_empty() && self.forced_faults.contains(&addr) {
             return (Err(ReadFault::Injected), ReadEffort::NONE);
         }
-        let w = match self.written_subpage(addr) {
-            Ok(w) => w,
-            Err(e) => return (Err(e), ReadEffort::NONE),
-        };
+        let (rec, spare) = self.slot(addr);
+        if let Err(e) = rec.data(usize::from(addr.slot)) {
+            return (Err(e), ReadEffort::NONE);
+        }
         let block_index = u64::from(self.geometry.block_index(addr.page.block));
-        let (verdict, effort) = self.judge_written(block_index, &w, now);
-        let oob = w.oob.expect("written_subpage filters padding");
-        (verdict.map(|()| oob), effort)
+        let (verdict, effort) = self.judge(block_index, rec, now);
+        (verdict.map(|()| spare), effort)
     }
 
-    /// The BER verdict for a written subpage: a pure function of the
-    /// subpage's program-time parameters, the block, and `now`.
-    fn judge_written(
+    /// The BER verdict for every slot of page record `rec` that holds
+    /// data: a pure function of the page's last program, the block, and
+    /// `now`.
+    fn judge(
         &self,
         block_index: u64,
-        w: &WrittenSubpage,
+        rec: &PageRec,
         now: SimTime,
     ) -> (Result<(), ReadFault>, ReadEffort) {
-        let elapsed = now.saturating_since(w.programmed_at);
+        let (pe_at_program, npp, programmed_at) = rec.last_program();
+        let elapsed = now.saturating_since(programmed_at);
         let ber = self.retention.normalized_ber_on_block(
             block_index,
-            w.pe_at_program,
-            u32::from(w.npp),
+            pe_at_program,
+            u32::from(npp),
             elapsed,
         ) + self
             .retention
@@ -782,10 +789,6 @@ impl NandDevice {
         }
     }
 
-    fn written_subpage(&self, addr: SubpageAddr) -> Result<WrittenSubpage, ReadFault> {
-        self.subpages[self.subpage_index(addr)].read()
-    }
-
     /// Introspects the raw state of a subpage (no ECC judgment, no
     /// statistics): the oracle for stored data, the mount scan, and the
     /// characterization harnesses.
@@ -795,7 +798,8 @@ impl NandDevice {
     /// Panics if the address is outside the geometry.
     #[must_use]
     pub fn subpage_state(&self, addr: SubpageAddr) -> SubpageState {
-        self.subpages[self.subpage_index(addr)].state()
+        let (rec, spare) = self.slot(addr);
+        rec.state(usize::from(addr.slot), spare)
     }
 
     /// Program operations on the page at `page` since its last erase (0
@@ -806,11 +810,7 @@ impl NandDevice {
     /// Panics if the address is outside the geometry.
     #[must_use]
     pub fn program_count(&self, page: PageAddr) -> u8 {
-        assert!(
-            self.geometry.contains(page.subpage(0)),
-            "address outside geometry"
-        );
-        self.programs[self.page_index(page)]
+        self.pages[self.checked_page_index(page)].programs()
     }
 
     /// Erases a block, resetting all of its pages and incrementing its P/E
@@ -839,8 +839,7 @@ impl NandDevice {
         };
         // Consulted only after the command proved legal (see program_full).
         let failed = self.draw_erase_fault();
-        let (records, programs) = self.block_pages_mut(bi);
-        page::erase(records, programs);
+        page::erase(self.block_pages_mut(bi));
         let block = &mut self.blocks[bi];
         block.pe_cycles += 1;
         block.stress_milli += depth.stress_milli_pe();
@@ -883,8 +882,8 @@ impl NandDevice {
     /// Same legality errors as [`NandDevice::program_full`].
     pub fn tear_program_full(&mut self, page: PageAddr) -> Result<(), NandError> {
         let (pi, _) = self.full_program_target(page)?;
-        let (records, programs) = self.page_mut(pi);
-        page::tear_program_full(records, programs)?;
+        let n_sub = self.geometry.subpages_per_page as usize;
+        page::tear_program_full(&mut self.pages[pi], n_sub)?;
         self.stats.torn_programs += 1;
         Ok(())
     }
@@ -899,8 +898,8 @@ impl NandDevice {
     /// Same legality errors as [`NandDevice::program_subpage`].
     pub fn tear_program_subpage(&mut self, addr: SubpageAddr) -> Result<(), NandError> {
         let (pi, _) = self.subpage_program_target(addr)?;
-        let (records, programs) = self.page_mut(pi);
-        let destroyed = page::tear_program_subpage(records, programs, addr.slot)?;
+        let n_sub = self.geometry.subpages_per_page as usize;
+        let destroyed = page::tear_program_subpage(&mut self.pages[pi], n_sub, addr.slot)?;
         self.stats.subpages_destroyed += u64::from(destroyed);
         self.stats.torn_programs += 1;
         Ok(())
@@ -917,8 +916,7 @@ impl NandDevice {
     pub fn tear_erase(&mut self, addr: BlockAddr) -> Result<(), NandError> {
         let bi = self.erase_target(addr)?;
         let n_sub = self.geometry.subpages_per_page as u8;
-        let (records, programs) = self.block_pages_mut(bi);
-        page::tear_erase(records, programs, n_sub);
+        page::tear_erase(self.block_pages_mut(bi), n_sub);
         let block = &mut self.blocks[bi];
         block.pe_cycles += 1;
         // An interrupted erase is charged full stress regardless of
@@ -1035,6 +1033,7 @@ impl NandDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::WrittenSubpage;
 
     fn oob(lsn: u64) -> Oob {
         Oob { lsn, seq: lsn }
@@ -1834,6 +1833,264 @@ mod tests {
         d.erase(blk, SimTime::ZERO).unwrap();
         assert!(d.is_dead(), "third cycle reaches the wear-out trip");
         assert_eq!(d.erase(blk, SimTime::ZERO), Err(NandError::DeviceDead));
+    }
+
+    /// One block as the device kept it before page records: every slot's
+    /// own state, program time, wear and `Npp` included, and each page's
+    /// program count. The oracle of
+    /// `page_records_match_per_slot_states_on_random_commands`.
+    struct SlotModel {
+        n_sub: usize,
+        pages: u32,
+        slots: Vec<SubpageState>,
+        programs: Vec<u8>,
+        torn: bool,
+        pe: u32,
+    }
+
+    impl SlotModel {
+        fn new(pages: u32, n_sub: usize) -> Self {
+            SlotModel {
+                n_sub,
+                pages,
+                slots: vec![SubpageState::Erased; pages as usize * n_sub],
+                programs: vec![0; pages as usize],
+                torn: false,
+                pe: 0,
+            }
+        }
+
+        fn page_slots(&mut self, page: u32) -> &mut [SubpageState] {
+            let n = self.n_sub;
+            &mut self.slots[page as usize * n..(page as usize + 1) * n]
+        }
+
+        fn full_checks(&self, page: u32) -> Result<(), NandError> {
+            if self.torn {
+                return Err(NandError::TornBlock);
+            }
+            if page >= self.pages {
+                return Err(NandError::AddressOutOfRange);
+            }
+            if page > 0 && self.programs[page as usize - 1] == 0 {
+                return Err(NandError::NonSequentialProgram { page });
+            }
+            Ok(())
+        }
+
+        fn program_full(
+            &mut self,
+            page: u32,
+            oobs: &[Option<Oob>],
+            now: SimTime,
+        ) -> Result<(), NandError> {
+            self.full_checks(page)?;
+            if oobs.len() != self.n_sub {
+                return Err(NandError::SlotCountMismatch {
+                    expected: self.n_sub as u32,
+                    got: oobs.len() as u32,
+                });
+            }
+            if self.programs[page as usize] != 0 {
+                return Err(NandError::ProgramOnDirtyPage);
+            }
+            let pe = self.pe;
+            for (s, oob) in self.page_slots(page).iter_mut().zip(oobs) {
+                *s = SubpageState::Written(WrittenSubpage {
+                    oob: *oob,
+                    npp: 0,
+                    programmed_at: now,
+                    pe_at_program: pe,
+                });
+            }
+            self.programs[page as usize] = 1;
+            Ok(())
+        }
+
+        fn subpage_checks(&self, page: u32, slot: u8) -> Result<(), NandError> {
+            if page >= self.pages || usize::from(slot) >= self.n_sub {
+                return Err(NandError::AddressOutOfRange);
+            }
+            if self.torn {
+                return Err(NandError::TornBlock);
+            }
+            if usize::from(self.programs[page as usize]) >= self.n_sub {
+                return Err(NandError::ProgramLimitExceeded);
+            }
+            Ok(())
+        }
+
+        /// Destroys every written slot of `page` but `slot`.
+        fn destroy_siblings(&mut self, page: u32, slot: u8) -> u32 {
+            let mut destroyed = 0;
+            for (i, s) in self.page_slots(page).iter_mut().enumerate() {
+                if i != usize::from(slot) && matches!(s, SubpageState::Written(_)) {
+                    *s = SubpageState::Destroyed;
+                    destroyed += 1;
+                }
+            }
+            destroyed
+        }
+
+        fn program_subpage(
+            &mut self,
+            page: u32,
+            slot: u8,
+            oob: Oob,
+            now: SimTime,
+        ) -> Result<u32, NandError> {
+            self.subpage_checks(page, slot)?;
+            let mut destroyed = self.destroy_siblings(page, slot);
+            let npp = self.programs[page as usize];
+            let pe = self.pe;
+            let target = &mut self.page_slots(page)[usize::from(slot)];
+            if *target == SubpageState::Erased {
+                *target = SubpageState::Written(WrittenSubpage {
+                    oob: Some(oob),
+                    npp,
+                    programmed_at: now,
+                    pe_at_program: pe,
+                });
+            } else {
+                *target = SubpageState::Destroyed;
+                destroyed += 1;
+            }
+            self.programs[page as usize] += 1;
+            Ok(destroyed)
+        }
+
+        fn tear_program_full(&mut self, page: u32) -> Result<(), NandError> {
+            self.full_checks(page)?;
+            if self.programs[page as usize] != 0 {
+                return Err(NandError::ProgramOnDirtyPage);
+            }
+            self.page_slots(page).fill(SubpageState::Torn);
+            self.programs[page as usize] = 1;
+            Ok(())
+        }
+
+        fn tear_program_subpage(&mut self, page: u32, slot: u8) -> Result<u32, NandError> {
+            self.subpage_checks(page, slot)?;
+            let destroyed = self.destroy_siblings(page, slot);
+            self.page_slots(page)[usize::from(slot)] = SubpageState::Torn;
+            self.programs[page as usize] += 1;
+            Ok(destroyed)
+        }
+
+        fn erase(&mut self, torn: bool) {
+            let (state, programs) = if torn {
+                (SubpageState::Torn, self.n_sub as u8)
+            } else {
+                (SubpageState::Erased, 0)
+            };
+            self.slots.fill(state);
+            self.programs.fill(programs);
+            self.torn = torn;
+            self.pe += 1;
+        }
+    }
+
+    #[test]
+    fn page_records_match_per_slot_states_on_random_commands() {
+        let g = Geometry {
+            pages_per_block: 8,
+            ..Geometry::tiny()
+        };
+        let (pages, n_sub) = (g.pages_per_block, g.subpages_per_page as usize);
+        for seed in 0..8 {
+            let mut d = NandDevice::new(g.clone());
+            d.set_faults(FaultConfig {
+                seed,
+                program_fail_prob: 0.1,
+                ..FaultConfig::default()
+            });
+            let blk = g.block_addr(5);
+            let mut model = SlotModel::new(pages, n_sub);
+            let mut rng = esp_sim::Rng::seed_from(seed);
+            for step in 0..3_000u64 {
+                let now = SimTime::from_nanos(step * 1_000);
+                // One page and one slot past the end are illegal addresses.
+                let page = rng.next_below(u64::from(pages) + 1) as u32;
+                let slot = rng.next_below(n_sub as u64 + 1) as u8;
+                let oob = Oob {
+                    lsn: step,
+                    seq: step + 1,
+                };
+                let destroyed_before = d.stats().subpages_destroyed;
+                match rng.next_below(100) {
+                    0..=29 => {
+                        let len = if rng.chance(0.05) { n_sub + 1 } else { n_sub };
+                        let oobs: Vec<_> = (0..len)
+                            .map(|i| {
+                                rng.chance(0.7).then_some(Oob {
+                                    lsn: i as u64,
+                                    ..oob
+                                })
+                            })
+                            .collect();
+                        let got = d.program_full(blk.page(page), &oobs, now);
+                        let want = model.program_full(page, &oobs, now);
+                        if got == Err(NandError::ProgramFailed) && want.is_ok() {
+                            model.page_slots(page).fill(SubpageState::Destroyed);
+                        } else {
+                            assert_eq!(got, want, "seed {seed} step {step}");
+                        }
+                    }
+                    30..=69 => {
+                        let got = d.program_subpage(blk.page(page).subpage(slot), oob, now);
+                        let want = model.program_subpage(page, slot, oob, now);
+                        if got == Err(NandError::ProgramFailed) && want.is_ok() {
+                            model.page_slots(page)[usize::from(slot)] = SubpageState::Destroyed;
+                        } else {
+                            assert_eq!(got, want.map(|_| ()), "seed {seed} step {step}");
+                        }
+                        let destroyed = d.stats().subpages_destroyed - destroyed_before;
+                        assert_eq!(destroyed, u64::from(want.unwrap_or(0)));
+                    }
+                    70..=77 => {
+                        let got = d.tear_program_full(blk.page(page));
+                        assert_eq!(got, model.tear_program_full(page));
+                    }
+                    78..=85 => {
+                        let got = d.tear_program_subpage(blk.page(page).subpage(slot));
+                        let want = model.tear_program_subpage(page, slot);
+                        assert_eq!(got, want.map(|_| ()), "seed {seed} step {step}");
+                        let destroyed = d.stats().subpages_destroyed - destroyed_before;
+                        assert_eq!(destroyed, u64::from(want.unwrap_or(0)));
+                    }
+                    86..=93 => {
+                        d.erase(blk, now).unwrap();
+                        model.erase(false);
+                    }
+                    94..=96 => {
+                        d.tear_erase(blk).unwrap();
+                        model.erase(true);
+                    }
+                    _ => {
+                        // Raises the wear later programs record, not the
+                        // wear already recorded.
+                        let pe = model.pe + rng.next_below(3) as u32;
+                        d.precycle(pe);
+                        model.pe = pe;
+                    }
+                }
+                for p in 0..pages {
+                    let addr = blk.page(p);
+                    assert_eq!(
+                        d.program_count(addr),
+                        model.programs[p as usize],
+                        "seed {seed} step {step} page {p}"
+                    );
+                    for s in 0..n_sub {
+                        assert_eq!(
+                            d.subpage_state(addr.subpage(s as u8)),
+                            model.slots[p as usize * n_sub + s],
+                            "seed {seed} step {step} page {p} slot {s}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

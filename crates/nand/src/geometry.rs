@@ -68,8 +68,9 @@ impl Geometry {
         }
     }
 
-    /// Validates that every dimension is non-zero and the device is
-    /// addressable.
+    /// Validates that every dimension is non-zero, the device is
+    /// addressable and a page has at most eight subpages (the device's
+    /// page record holds eight slot kinds).
     ///
     /// # Errors
     ///
@@ -88,8 +89,11 @@ impl Geometry {
                 return Err(format!("geometry field `{name}` must be non-zero"));
             }
         }
-        if self.subpages_per_page > 255 {
-            return Err("subpages_per_page must fit in a u8 program counter".into());
+        if self.subpages_per_page > crate::page::MAX_SUBPAGES {
+            return Err(format!(
+                "subpages_per_page must be at most {}: a page record packs a 3-bit kind per slot",
+                crate::page::MAX_SUBPAGES
+            ));
         }
         Ok(())
     }
@@ -320,6 +324,16 @@ mod tests {
         let mut g = Geometry::tiny();
         g.pages_per_block = 0;
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn validate_accepts_eight_subpages_and_rejects_nine() {
+        let mut g = Geometry::tiny();
+        g.subpages_per_page = 8;
+        assert_eq!(g.validate(), Ok(()));
+        g.subpages_per_page = 9;
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("at most 8") && err.contains("kind"), "{err}");
     }
 
     #[test]

@@ -20,9 +20,12 @@
 //! holds valid data) lives in the FTL; the device faithfully destroys data
 //! if the discipline is violated.
 //!
-//! The device keeps one [`Subpage`] record per subpage in one device-wide
-//! array and one program count per page; the rules here are functions over
-//! one page's slice of records and its count.
+//! Because every program pulse destroys the page's written subpages, all
+//! written subpages of a page come from its last program. The device keeps
+//! one 16-byte [`PageRec`] per page (that program's time and wear, the
+//! program count and a 3-bit kind per slot) and one 16-byte [`Oob`] spare
+//! record per subpage; the rules here are functions over one page's record
+//! and its spare records.
 
 use esp_sim::SimTime;
 
@@ -74,94 +77,126 @@ pub struct WrittenSubpage {
 }
 
 /// What a subpage holds: [`SubpageState`] with data and padding apart.
+/// The discriminant is the 3-bit code a [`PageRec`] packs per slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
-    Erased,
-    Data,
-    Padding,
-    Destroyed,
-    Torn,
+    Erased = 0,
+    Data = 1,
+    Padding = 2,
+    Destroyed = 3,
+    Torn = 4,
 }
 
-/// One subpage as the device stores it. The program-time fields mean
-/// something only for [`Kind::Data`] (all of them) and [`Kind::Padding`]
-/// (all but `lsn` and `seq`).
+impl Kind {
+    fn from_code(code: u32) -> Kind {
+        match code {
+            0 => Kind::Erased,
+            1 => Kind::Data,
+            2 => Kind::Padding,
+            3 => Kind::Destroyed,
+            _ => Kind::Torn,
+        }
+    }
+
+    /// True for a programmed slot not destroyed since: data or padding.
+    fn is_written(self) -> bool {
+        matches!(self, Kind::Data | Kind::Padding)
+    }
+}
+
+/// Bits per slot kind in [`PageRec::packed`].
+const KIND_BITS: usize = 3;
+/// The most slots a [`PageRec`] holds kinds for.
+pub(crate) const MAX_SUBPAGES: u32 = 8;
+/// Where [`PageRec::packed`] keeps the program count.
+const PROGRAMS_SHIFT: u32 = 24;
+const KINDS_MASK: u32 = (1 << PROGRAMS_SHIFT) - 1;
+
+/// One page as the device stores it. Every program pulse destroys the
+/// page's other written subpages, so each slot that reads as written comes
+/// from the page's last program: its program time, wear and `Npp` type
+/// (the program count minus one) are the page's. A slot's spare area
+/// ([`Oob`]) lives beside the record and means something only while the
+/// slot holds data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Subpage {
-    lsn: u64,
-    seq: u64,
+pub(crate) struct PageRec {
+    /// When the last program ran.
     programmed_at: SimTime,
+    /// The block's effective P/E at the last program.
     pe_at_program: u32,
-    npp: u8,
-    kind: Kind,
+    /// Slot `s`'s [`Kind`] at bits `3s..3s + 3`; the program operations
+    /// since the last erase at bits 24..32.
+    packed: u32,
 }
 
-// The device holds one record per subpage: 32 MiB per million subpages.
-const _: () = assert!(std::mem::size_of::<Subpage>() == 32);
+// The device holds one page record per page and one spare record per
+// subpage: 20 MiB per million subpages at four subpages per page.
+const _: () = assert!(std::mem::size_of::<PageRec>() == 16);
+const _: () = assert!(std::mem::size_of::<Oob>() == 16);
+const _: () = assert!(MAX_SUBPAGES as usize * KIND_BITS <= PROGRAMS_SHIFT as usize);
 
-impl Subpage {
-    /// An erased subpage.
-    pub(crate) const ERASED: Subpage = Subpage::blank(Kind::Erased);
-    /// A subpage whose program or erase was cut mid-pulse.
-    const TORN: Subpage = Subpage::blank(Kind::Torn);
+impl PageRec {
+    /// An erased page.
+    pub(crate) const ERASED: PageRec = PageRec {
+        programmed_at: SimTime::ZERO,
+        pe_at_program: 0,
+        packed: 0,
+    };
 
-    const fn blank(kind: Kind) -> Self {
-        Subpage {
-            lsn: 0,
-            seq: 0,
-            programmed_at: SimTime::ZERO,
-            pe_at_program: 0,
-            npp: 0,
-            kind,
+    /// A page of `n_sub` slots, every one torn, that has counted
+    /// `programs` programs since its last erase.
+    fn torn(n_sub: usize, programs: u8) -> PageRec {
+        let mut rec = PageRec::ERASED;
+        for slot in 0..n_sub {
+            rec.set_kind(slot, Kind::Torn);
         }
+        rec.set_programs(programs);
+        rec
     }
 
-    /// A programmed subpage: data if `oob` is `Some`, padding otherwise.
-    fn programmed(oob: Option<Oob>, npp: u8, now: SimTime, pe_cycles: u32) -> Self {
-        let (kind, Oob { lsn, seq }) = match oob {
-            Some(o) => (Kind::Data, o),
-            None => (Kind::Padding, Oob { lsn: 0, seq: 0 }),
-        };
-        Subpage {
-            lsn,
-            seq,
-            programmed_at: now,
-            pe_at_program: pe_cycles,
-            npp,
-            kind,
-        }
+    /// Program operations since the last erase (`N_sub` after a cut
+    /// erase).
+    pub(crate) fn programs(&self) -> u8 {
+        (self.packed >> PROGRAMS_SHIFT) as u8
     }
 
-    /// True if the subpage was programmed (data or padding) and not
-    /// destroyed since.
-    fn is_written(&self) -> bool {
-        matches!(self.kind, Kind::Data | Kind::Padding)
+    fn set_programs(&mut self, programs: u8) {
+        self.packed = self.packed & KINDS_MASK | u32::from(programs) << PROGRAMS_SHIFT;
     }
 
-    fn written(&self) -> WrittenSubpage {
+    fn kind(&self, slot: usize) -> Kind {
+        Kind::from_code(self.packed >> (KIND_BITS * slot) & 0b111)
+    }
+
+    fn set_kind(&mut self, slot: usize, kind: Kind) {
+        let shift = KIND_BITS * slot;
+        self.packed = self.packed & !(0b111 << shift) | (kind as u32) << shift;
+    }
+
+    /// Slot `slot` as written by the last program, with `spare` its spare
+    /// area; the caller has checked that the slot is written.
+    fn written(&self, slot: usize, spare: Oob) -> WrittenSubpage {
+        let (pe_at_program, npp, programmed_at) = self.last_program();
         WrittenSubpage {
-            oob: (self.kind == Kind::Data).then_some(Oob {
-                lsn: self.lsn,
-                seq: self.seq,
-            }),
-            npp: self.npp,
-            programmed_at: self.programmed_at,
-            pe_at_program: self.pe_at_program,
+            oob: (self.kind(slot) == Kind::Data).then_some(spare),
+            npp,
+            programmed_at,
+            pe_at_program,
         }
     }
 
-    /// The subpage's raw state.
-    pub(crate) fn state(&self) -> SubpageState {
-        match self.kind {
+    /// Slot `slot`'s raw state, with `spare` its spare area.
+    pub(crate) fn state(&self, slot: usize, spare: Oob) -> SubpageState {
+        match self.kind(slot) {
             Kind::Erased => SubpageState::Erased,
-            Kind::Data | Kind::Padding => SubpageState::Written(self.written()),
+            Kind::Data | Kind::Padding => SubpageState::Written(self.written(slot, spare)),
             Kind::Destroyed => SubpageState::Destroyed,
             Kind::Torn => SubpageState::Torn,
         }
     }
 
-    /// Raw read — the ECC/retention judgment is the device's job (it owns
-    /// the retention model and the clock).
+    /// Raw check that slot `slot` holds data — the ECC/retention judgment
+    /// is the device's job (it owns the retention model and the clock).
     ///
     /// # Errors
     ///
@@ -170,31 +205,53 @@ impl Subpage {
     /// * [`ReadFault::DestroyedByProgram`] if a later program on the page
     ///   corrupted it.
     /// * [`ReadFault::Torn`] if a program or erase was cut mid-operation.
-    pub(crate) fn read(&self) -> Result<WrittenSubpage, ReadFault> {
-        match self.kind {
+    pub(crate) fn data(&self, slot: usize) -> Result<(), ReadFault> {
+        match self.kind(slot) {
             Kind::Erased => Err(ReadFault::NotWritten),
-            Kind::Data => Ok(self.written()),
+            Kind::Data => Ok(()),
             Kind::Padding => Err(ReadFault::Padding),
             Kind::Destroyed => Err(ReadFault::DestroyedByProgram),
             Kind::Torn => Err(ReadFault::Torn),
         }
     }
 
-    /// Marks the subpage destroyed: by a later program pulse on its page
+    /// Raw read of slot `slot`, with `spare` its spare area.
+    ///
+    /// # Errors
+    ///
+    /// As [`PageRec::data`].
+    #[cfg(test)]
+    fn read(&self, slot: usize, spare: Oob) -> Result<WrittenSubpage, ReadFault> {
+        self.data(slot).map(|()| self.written(slot, spare))
+    }
+
+    /// What the retention judgment of any slot holding data needs: the
+    /// last program's wear (effective P/E), the slots' `Npp` type and the
+    /// program time.
+    pub(crate) fn last_program(&self) -> (u32, u8, SimTime) {
+        (
+            self.pe_at_program,
+            self.programs().saturating_sub(1),
+            self.programmed_at,
+        )
+    }
+
+    /// Marks slot `slot` destroyed: by a later program pulse on its page
     /// (Fig 4(b)), or by a program of its own that reported status fail
     /// (the pulse ran, so it holds garbage rather than data).
-    pub(crate) fn destroy(&mut self) {
-        self.kind = Kind::Destroyed;
+    pub(crate) fn destroy(&mut self, slot: usize) {
+        self.set_kind(slot, Kind::Destroyed);
     }
 }
 
 /// True if no further program operation is allowed before an erase (the
 /// page has been programmed `N_sub` times).
-fn is_exhausted(page: &[Subpage], programs: u8) -> bool {
-    usize::from(programs) >= page.len()
+fn is_exhausted(rec: &PageRec, n_sub: usize) -> bool {
+    usize::from(rec.programs()) >= n_sub
 }
 
-/// Programs the whole page in one operation (the conventional path).
+/// Programs the whole page in one operation (the conventional path):
+/// `rec` is the page's record and `spare` its subpages' spare areas.
 ///
 /// `oobs` supplies one spare-area entry per subpage; `None` entries are
 /// padding (space wasted by internal fragmentation in CGM/FGM FTLs).
@@ -205,57 +262,69 @@ fn is_exhausted(page: &[Subpage], programs: u8) -> bool {
 /// * [`NandError::ProgramOnDirtyPage`] if the page has been programmed
 ///   since the last erase — full-page programs require an erased page.
 pub(crate) fn program_full(
-    page: &mut [Subpage],
-    programs: &mut u8,
+    rec: &mut PageRec,
+    spare: &mut [Oob],
     oobs: &[Option<Oob>],
     now: SimTime,
     pe_cycles: u32,
 ) -> Result<(), NandError> {
-    if oobs.len() != page.len() {
+    if oobs.len() != spare.len() {
         return Err(NandError::SlotCountMismatch {
-            expected: page.len() as u32,
+            expected: spare.len() as u32,
             got: oobs.len() as u32,
         });
     }
-    if *programs != 0 {
+    if rec.programs() != 0 {
         return Err(NandError::ProgramOnDirtyPage);
     }
-    for (s, oob) in page.iter_mut().zip(oobs) {
-        *s = Subpage::programmed(*oob, 0, now, pe_cycles);
+    *rec = PageRec {
+        programmed_at: now,
+        pe_at_program: pe_cycles,
+        packed: 0,
+    };
+    for (slot, (s, oob)) in spare.iter_mut().zip(oobs).enumerate() {
+        match oob {
+            Some(o) => {
+                *s = *o;
+                rec.set_kind(slot, Kind::Data);
+            }
+            None => rec.set_kind(slot, Kind::Padding),
+        }
     }
-    *programs = 1;
+    rec.set_programs(1);
     Ok(())
 }
 
 /// The legality checks shared by a subpage program and its torn twin;
-/// returns the slot's index into `page`.
-fn subpage_target(page: &[Subpage], programs: u8, slot: u8) -> Result<usize, NandError> {
-    if usize::from(slot) >= page.len() {
+/// returns the slot's index into the page.
+fn subpage_target(rec: &PageRec, n_sub: usize, slot: u8) -> Result<usize, NandError> {
+    if usize::from(slot) >= n_sub {
         return Err(NandError::SlotOutOfRange {
             slot,
-            n_sub: page.len() as u32,
+            n_sub: n_sub as u32,
         });
     }
-    if is_exhausted(page, programs) {
+    if is_exhausted(rec, n_sub) {
         return Err(NandError::ProgramLimitExceeded);
     }
     Ok(usize::from(slot))
 }
 
-/// Destroys every written subpage of `page` but `target` (the Fig 4(b)
+/// Destroys every written slot of the page but `target` (the Fig 4(b)
 /// disturbance of one program pulse) and returns how many there were.
-fn destroy_siblings(page: &mut [Subpage], target: usize) -> u32 {
+fn destroy_siblings(rec: &mut PageRec, n_sub: usize, target: usize) -> u32 {
     let mut destroyed = 0;
-    for (i, s) in page.iter_mut().enumerate() {
-        if i != target && s.is_written() {
-            s.destroy();
+    for slot in 0..n_sub {
+        if slot != target && rec.kind(slot).is_written() {
+            rec.destroy(slot);
             destroyed += 1;
         }
     }
     destroyed
 }
 
-/// Programs a single subpage via SBPI bit-line selection (the ESP path).
+/// Programs a single subpage via SBPI bit-line selection (the ESP path):
+/// `rec` is the page's record and `spare` its subpages' spare areas.
 ///
 /// Physics, per Fig 4: every *other* subpage of this page that currently
 /// holds data is **destroyed** (its BER exceeds the ECC limit). If the
@@ -277,47 +346,49 @@ fn destroy_siblings(page: &mut [Subpage], target: usize) -> u32 {
 /// * [`NandError::ProgramLimitExceeded`] if the page has already been
 ///   programmed `N_sub` times since the last erase.
 pub(crate) fn program_subpage(
-    page: &mut [Subpage],
-    programs: &mut u8,
+    rec: &mut PageRec,
+    spare: &mut [Oob],
     slot: u8,
     oob: Oob,
     now: SimTime,
     pe_cycles: u32,
 ) -> Result<u32, NandError> {
-    let target = subpage_target(page, *programs, slot)?;
-    let mut destroyed = destroy_siblings(page, target);
-    if page[target].kind == Kind::Erased {
-        page[target] = Subpage::programmed(Some(oob), *programs, now, pe_cycles);
+    let target = subpage_target(rec, spare.len(), slot)?;
+    let mut destroyed = destroy_siblings(rec, spare.len(), target);
+    if rec.kind(target) == Kind::Erased {
+        rec.set_kind(target, Kind::Data);
+        spare[target] = oob;
     } else {
-        page[target].destroy();
+        rec.destroy(target);
         destroyed += 1;
     }
-    *programs += 1;
+    rec.programmed_at = now;
+    rec.pe_at_program = pe_cycles;
+    rec.set_programs(rec.programs() + 1);
     Ok(destroyed)
 }
 
-/// A full-page program cut by power loss mid-pulse: every subpage holds a
-/// partial charge pattern and reads back uncorrectable. Legality mirrors
-/// [`program_full`] (the command was accepted; only its completion was
-/// interrupted).
+/// A full-page program of a page of `n_sub` slots cut by power loss
+/// mid-pulse: every subpage holds a partial charge pattern and reads back
+/// uncorrectable. Legality mirrors [`program_full`] (the command was
+/// accepted; only its completion was interrupted).
 ///
 /// # Errors
 ///
 /// * [`NandError::ProgramOnDirtyPage`] if the page is not erased.
-pub(crate) fn tear_program_full(page: &mut [Subpage], programs: &mut u8) -> Result<(), NandError> {
-    if *programs != 0 {
+pub(crate) fn tear_program_full(rec: &mut PageRec, n_sub: usize) -> Result<(), NandError> {
+    if rec.programs() != 0 {
         return Err(NandError::ProgramOnDirtyPage);
     }
-    page.fill(Subpage::TORN);
-    *programs = 1;
+    *rec = PageRec::torn(n_sub, 1);
     Ok(())
 }
 
-/// A subpage program cut by power loss mid-pulse. The target slot is torn,
-/// and — exactly as for a completed program — every other subpage of the
-/// page that held data is destroyed (the Fig 4(b) disturbance comes from
-/// the program pulses, which did run before the cut). Legality mirrors
-/// [`program_subpage`].
+/// A subpage program on a page of `n_sub` slots cut by power loss
+/// mid-pulse. The target slot is torn, and — exactly as for a completed
+/// program — every other subpage of the page that held data is destroyed
+/// (the Fig 4(b) disturbance comes from the program pulses, which did run
+/// before the cut). Legality mirrors [`program_subpage`].
 ///
 /// Returns how many slots' data was destroyed as a side effect.
 ///
@@ -326,31 +397,30 @@ pub(crate) fn tear_program_full(page: &mut [Subpage], programs: &mut u8) -> Resu
 /// * [`NandError::SlotOutOfRange`] if `slot >= N_sub`.
 /// * [`NandError::ProgramLimitExceeded`] if the page is exhausted.
 pub(crate) fn tear_program_subpage(
-    page: &mut [Subpage],
-    programs: &mut u8,
+    rec: &mut PageRec,
+    n_sub: usize,
     slot: u8,
 ) -> Result<u32, NandError> {
-    let target = subpage_target(page, *programs, slot)?;
-    let destroyed = destroy_siblings(page, target);
-    page[target] = Subpage::TORN;
-    *programs += 1;
+    let target = subpage_target(rec, n_sub, slot)?;
+    let destroyed = destroy_siblings(rec, n_sub, target);
+    rec.set_kind(target, Kind::Torn);
+    rec.set_programs(rec.programs() + 1);
     Ok(destroyed)
 }
 
-/// Resets pages to the erased state: `subpages` holds their records and
-/// `programs` their counts (one page, or a whole block).
-pub(crate) fn erase(subpages: &mut [Subpage], programs: &mut [u8]) {
-    subpages.fill(Subpage::ERASED);
-    programs.fill(0);
+/// Resets pages to the erased state: `pages` holds their records (one
+/// page, or a whole block). Spare areas are left as they are: a slot's
+/// spare area is read only while the slot holds data.
+pub(crate) fn erase(pages: &mut [PageRec]) {
+    pages.fill(PageRec::ERASED);
 }
 
 /// An erase cut by power loss mid-operation: the partial erase leaves
 /// every subpage in an indeterminate, uncorrectable state. Each page is
 /// marked exhausted (`n_sub` programs) so no program can target it until a
 /// completed erase resets it.
-pub(crate) fn tear_erase(subpages: &mut [Subpage], programs: &mut [u8], n_sub: u8) {
-    subpages.fill(Subpage::TORN);
-    programs.fill(n_sub);
+pub(crate) fn tear_erase(pages: &mut [PageRec], n_sub: u8) {
+    pages.fill(PageRec::torn(usize::from(n_sub), n_sub));
 }
 
 #[cfg(test)]
@@ -361,19 +431,29 @@ mod tests {
         Oob { lsn, seq: lsn }
     }
 
-    /// A fresh (erased) page of `n_sub` subpages and its program count.
-    fn page(n_sub: usize) -> (Vec<Subpage>, u8) {
-        (vec![Subpage::ERASED; n_sub], 0)
+    /// A fresh (erased) page of `n_sub` subpages: its record and its spare
+    /// areas.
+    fn page(n_sub: usize) -> (PageRec, Vec<Oob>) {
+        (PageRec::ERASED, vec![oob(0); n_sub])
+    }
+
+    /// Raw read of `slot`.
+    fn read(r: &PageRec, s: &[Oob], slot: usize) -> Result<WrittenSubpage, ReadFault> {
+        r.read(slot, s[slot])
+    }
+
+    fn state(r: &PageRec, s: &[Oob], slot: usize) -> SubpageState {
+        r.state(slot, s[slot])
     }
 
     #[test]
     fn full_program_fills_all_subpages_at_npp0() {
-        let (mut p, mut n) = page(4);
+        let (mut r, mut s) = page(4);
         let oobs: Vec<_> = (0..4).map(|i| Some(oob(i))).collect();
-        program_full(&mut p, &mut n, &oobs, SimTime::ZERO, 5).unwrap();
-        assert_eq!(n, 1);
-        for (slot, s) in p.iter().enumerate() {
-            let w = s.read().unwrap();
+        program_full(&mut r, &mut s, &oobs, SimTime::ZERO, 5).unwrap();
+        assert_eq!(r.programs(), 1);
+        for slot in 0..4 {
+            let w = read(&r, &s, slot).unwrap();
             assert_eq!(w.npp, 0);
             assert_eq!(w.oob.unwrap().lsn, slot as u64);
             assert_eq!(w.pe_at_program, 5);
@@ -382,19 +462,19 @@ mod tests {
 
     #[test]
     fn full_program_requires_erased_page() {
-        let (mut p, mut n) = page(4);
-        program_subpage(&mut p, &mut n, 0, oob(1), SimTime::ZERO, 0).unwrap();
+        let (mut r, mut s) = page(4);
+        program_subpage(&mut r, &mut s, 0, oob(1), SimTime::ZERO, 0).unwrap();
         let oobs = vec![None; 4];
         assert_eq!(
-            program_full(&mut p, &mut n, &oobs, SimTime::ZERO, 0),
+            program_full(&mut r, &mut s, &oobs, SimTime::ZERO, 0),
             Err(NandError::ProgramOnDirtyPage)
         );
     }
 
     #[test]
     fn full_program_checks_slot_count() {
-        let (mut p, mut n) = page(4);
-        let err = program_full(&mut p, &mut n, &[None, None], SimTime::ZERO, 0).unwrap_err();
+        let (mut r, mut s) = page(4);
+        let err = program_full(&mut r, &mut s, &[None, None], SimTime::ZERO, 0).unwrap_err();
         assert_eq!(
             err,
             NandError::SlotCountMismatch {
@@ -407,83 +487,83 @@ mod tests {
     #[test]
     fn esp_sequence_assigns_increasing_npp() {
         // Fig 4: sp1 programmed (Npp^0), then sp2 programmed (Npp^1).
-        let (mut p, mut n) = page(4);
-        program_subpage(&mut p, &mut n, 0, oob(10), SimTime::ZERO, 0).unwrap();
-        assert_eq!(p[0].read().unwrap().npp, 0);
-        let destroyed = program_subpage(&mut p, &mut n, 1, oob(11), SimTime::ZERO, 0).unwrap();
+        let (mut r, mut s) = page(4);
+        program_subpage(&mut r, &mut s, 0, oob(10), SimTime::ZERO, 0).unwrap();
+        assert_eq!(read(&r, &s, 0).unwrap().npp, 0);
+        let destroyed = program_subpage(&mut r, &mut s, 1, oob(11), SimTime::ZERO, 0).unwrap();
         assert_eq!(destroyed, 1);
-        assert_eq!(p[0].state(), SubpageState::Destroyed);
-        assert_eq!(p[1].read().unwrap().npp, 1);
-        let d = program_subpage(&mut p, &mut n, 2, oob(12), SimTime::ZERO, 0).unwrap();
+        assert_eq!(state(&r, &s, 0), SubpageState::Destroyed);
+        assert_eq!(read(&r, &s, 1).unwrap().npp, 1);
+        let d = program_subpage(&mut r, &mut s, 2, oob(12), SimTime::ZERO, 0).unwrap();
         assert_eq!(d, 1);
-        assert_eq!(p[1].state(), SubpageState::Destroyed);
-        assert_eq!(p[2].read().unwrap().npp, 2);
-        let d = program_subpage(&mut p, &mut n, 3, oob(13), SimTime::ZERO, 0).unwrap();
+        assert_eq!(state(&r, &s, 1), SubpageState::Destroyed);
+        assert_eq!(read(&r, &s, 2).unwrap().npp, 2);
+        let d = program_subpage(&mut r, &mut s, 3, oob(13), SimTime::ZERO, 0).unwrap();
         assert_eq!(d, 1);
-        assert_eq!(p[2].state(), SubpageState::Destroyed);
-        assert_eq!(p[3].read().unwrap().npp, 3);
+        assert_eq!(state(&r, &s, 2), SubpageState::Destroyed);
+        assert_eq!(read(&r, &s, 3).unwrap().npp, 3);
     }
 
     #[test]
     fn program_destroys_previously_programmed_subpage() {
         // Fig 4(b): after sp2's program, sp1 is uncorrectable.
-        let (mut p, mut n) = page(2);
-        program_subpage(&mut p, &mut n, 0, oob(1), SimTime::ZERO, 0).unwrap();
-        program_subpage(&mut p, &mut n, 1, oob(2), SimTime::ZERO, 0).unwrap();
-        assert_eq!(p[0].read(), Err(ReadFault::DestroyedByProgram));
-        assert!(p[1].read().is_ok());
+        let (mut r, mut s) = page(2);
+        program_subpage(&mut r, &mut s, 0, oob(1), SimTime::ZERO, 0).unwrap();
+        program_subpage(&mut r, &mut s, 1, oob(2), SimTime::ZERO, 0).unwrap();
+        assert_eq!(read(&r, &s, 0), Err(ReadFault::DestroyedByProgram));
+        assert!(read(&r, &s, 1).is_ok());
     }
 
     #[test]
     fn reprogramming_same_slot_destroys_it() {
-        let (mut p, mut n) = page(4);
-        program_subpage(&mut p, &mut n, 0, oob(1), SimTime::ZERO, 0).unwrap();
-        let destroyed = program_subpage(&mut p, &mut n, 0, oob(2), SimTime::ZERO, 0).unwrap();
+        let (mut r, mut s) = page(4);
+        program_subpage(&mut r, &mut s, 0, oob(1), SimTime::ZERO, 0).unwrap();
+        let destroyed = program_subpage(&mut r, &mut s, 0, oob(2), SimTime::ZERO, 0).unwrap();
         assert_eq!(destroyed, 1);
-        assert_eq!(p[0].read(), Err(ReadFault::DestroyedByProgram));
+        assert_eq!(read(&r, &s, 0), Err(ReadFault::DestroyedByProgram));
     }
 
     #[test]
     fn page_accepts_at_most_nsub_programs() {
-        let (mut p, mut n) = page(2);
-        program_subpage(&mut p, &mut n, 0, oob(1), SimTime::ZERO, 0).unwrap();
-        program_subpage(&mut p, &mut n, 1, oob(2), SimTime::ZERO, 0).unwrap();
-        assert!(is_exhausted(&p, n));
+        let (mut r, mut s) = page(2);
+        program_subpage(&mut r, &mut s, 0, oob(1), SimTime::ZERO, 0).unwrap();
+        program_subpage(&mut r, &mut s, 1, oob(2), SimTime::ZERO, 0).unwrap();
+        assert!(is_exhausted(&r, s.len()));
         assert_eq!(
-            program_subpage(&mut p, &mut n, 0, oob(3), SimTime::ZERO, 0),
+            program_subpage(&mut r, &mut s, 0, oob(3), SimTime::ZERO, 0),
             Err(NandError::ProgramLimitExceeded)
         );
     }
 
     #[test]
     fn slot_out_of_range_is_rejected() {
-        let (mut p, mut n) = page(2);
+        let (mut r, mut s) = page(2);
         assert_eq!(
-            program_subpage(&mut p, &mut n, 2, oob(1), SimTime::ZERO, 0),
+            program_subpage(&mut r, &mut s, 2, oob(1), SimTime::ZERO, 0),
             Err(NandError::SlotOutOfRange { slot: 2, n_sub: 2 })
         );
     }
 
     #[test]
     fn padding_slots_report_padding_on_read() {
-        let (mut p, mut n) = page(4);
+        let (mut r, mut s) = page(4);
         let oobs = vec![Some(oob(1)), None, None, None];
-        program_full(&mut p, &mut n, &oobs, SimTime::ZERO, 0).unwrap();
-        assert!(p[0].read().is_ok());
-        assert_eq!(p[1].read(), Err(ReadFault::Padding));
+        program_full(&mut r, &mut s, &oobs, SimTime::ZERO, 0).unwrap();
+        assert!(read(&r, &s, 0).is_ok());
+        assert_eq!(read(&r, &s, 1), Err(ReadFault::Padding));
     }
 
     #[test]
     fn erase_resets_everything() {
-        let (mut p, mut n) = page(4);
-        program_subpage(&mut p, &mut n, 0, oob(1), SimTime::ZERO, 0).unwrap();
-        program_subpage(&mut p, &mut n, 1, oob(2), SimTime::ZERO, 0).unwrap();
-        erase(&mut p, std::slice::from_mut(&mut n));
-        assert_eq!(n, 0);
-        assert_eq!(p[0].read(), Err(ReadFault::NotWritten));
+        let (mut r, mut s) = page(4);
+        program_subpage(&mut r, &mut s, 0, oob(1), SimTime::ZERO, 0).unwrap();
+        program_subpage(&mut r, &mut s, 1, oob(2), SimTime::ZERO, 0).unwrap();
+        erase(std::slice::from_mut(&mut r));
+        assert_eq!(r.programs(), 0);
+        assert_eq!(read(&r, &s, 0), Err(ReadFault::NotWritten));
         // A fresh subpage program is possible again, at Npp^0.
-        program_subpage(&mut p, &mut n, 2, oob(3), SimTime::ZERO, 0).unwrap();
-        assert_eq!(p[2].read().unwrap().npp, 0);
+        program_subpage(&mut r, &mut s, 2, oob(3), SimTime::ZERO, 0).unwrap();
+        assert_eq!(read(&r, &s, 2).unwrap().npp, 0);
     }
 
     #[test]
@@ -491,66 +571,66 @@ mod tests {
         // Power loss during the migration program of Fig 7(c): the target
         // slot is unreadable AND the previously-programmed sibling is
         // destroyed — the data exists nowhere on the page afterwards.
-        let (mut p, mut n) = page(4);
-        program_subpage(&mut p, &mut n, 0, oob(7), SimTime::ZERO, 0).unwrap();
-        let destroyed = tear_program_subpage(&mut p, &mut n, 1).unwrap();
+        let (mut r, mut s) = page(4);
+        program_subpage(&mut r, &mut s, 0, oob(7), SimTime::ZERO, 0).unwrap();
+        let destroyed = tear_program_subpage(&mut r, s.len(), 1).unwrap();
         assert_eq!(destroyed, 1);
-        assert_eq!(p[0].read(), Err(ReadFault::DestroyedByProgram));
-        assert_eq!(p[1].read(), Err(ReadFault::Torn));
-        assert_eq!(n, 2);
+        assert_eq!(read(&r, &s, 0), Err(ReadFault::DestroyedByProgram));
+        assert_eq!(read(&r, &s, 1), Err(ReadFault::Torn));
+        assert_eq!(r.programs(), 2);
     }
 
     #[test]
     fn torn_subpage_program_respects_legality() {
-        let (mut p, mut n) = page(2);
+        let (mut r, mut s) = page(2);
         assert_eq!(
-            tear_program_subpage(&mut p, &mut n, 2),
+            tear_program_subpage(&mut r, s.len(), 2),
             Err(NandError::SlotOutOfRange { slot: 2, n_sub: 2 })
         );
-        program_subpage(&mut p, &mut n, 0, oob(1), SimTime::ZERO, 0).unwrap();
-        program_subpage(&mut p, &mut n, 1, oob(2), SimTime::ZERO, 0).unwrap();
+        program_subpage(&mut r, &mut s, 0, oob(1), SimTime::ZERO, 0).unwrap();
+        program_subpage(&mut r, &mut s, 1, oob(2), SimTime::ZERO, 0).unwrap();
         assert_eq!(
-            tear_program_subpage(&mut p, &mut n, 0),
+            tear_program_subpage(&mut r, s.len(), 0),
             Err(NandError::ProgramLimitExceeded)
         );
     }
 
     #[test]
     fn torn_full_program_tears_every_slot() {
-        let (mut p, mut n) = page(4);
-        tear_program_full(&mut p, &mut n).unwrap();
-        for s in &p {
-            assert_eq!(s.read(), Err(ReadFault::Torn));
+        let (mut r, s) = page(4);
+        tear_program_full(&mut r, s.len()).unwrap();
+        for slot in 0..s.len() {
+            assert_eq!(read(&r, &s, slot), Err(ReadFault::Torn));
         }
-        assert_eq!(n, 1);
+        assert_eq!(r.programs(), 1);
         assert_eq!(
-            tear_program_full(&mut p, &mut n),
+            tear_program_full(&mut r, s.len()),
             Err(NandError::ProgramOnDirtyPage)
         );
     }
 
     #[test]
     fn erase_recovers_a_torn_page() {
-        let (mut p, mut n) = page(4);
-        program_subpage(&mut p, &mut n, 0, oob(1), SimTime::ZERO, 0).unwrap();
-        tear_program_subpage(&mut p, &mut n, 1).unwrap();
-        erase(&mut p, std::slice::from_mut(&mut n));
-        assert_eq!(n, 0);
-        program_subpage(&mut p, &mut n, 0, oob(2), SimTime::ZERO, 0).unwrap();
-        assert_eq!(p[0].read().unwrap().oob.unwrap().lsn, 2);
+        let (mut r, mut s) = page(4);
+        program_subpage(&mut r, &mut s, 0, oob(1), SimTime::ZERO, 0).unwrap();
+        tear_program_subpage(&mut r, s.len(), 1).unwrap();
+        erase(std::slice::from_mut(&mut r));
+        assert_eq!(r.programs(), 0);
+        program_subpage(&mut r, &mut s, 0, oob(2), SimTime::ZERO, 0).unwrap();
+        assert_eq!(read(&r, &s, 0).unwrap().oob.unwrap().lsn, 2);
     }
 
     #[test]
     fn full_then_subpage_program_destroys_all_valid_data() {
         // A full-page program followed by a subpage program is the worst
         // ESP-discipline violation: three slots destroyed, target slot too.
-        let (mut p, mut n) = page(4);
+        let (mut r, mut s) = page(4);
         let oobs: Vec<_> = (0..4).map(|i| Some(oob(i))).collect();
-        program_full(&mut p, &mut n, &oobs, SimTime::ZERO, 0).unwrap();
-        let destroyed = program_subpage(&mut p, &mut n, 1, oob(9), SimTime::ZERO, 0).unwrap();
+        program_full(&mut r, &mut s, &oobs, SimTime::ZERO, 0).unwrap();
+        let destroyed = program_subpage(&mut r, &mut s, 1, oob(9), SimTime::ZERO, 0).unwrap();
         assert_eq!(destroyed, 4);
-        for s in &p {
-            assert_eq!(s.read(), Err(ReadFault::DestroyedByProgram));
+        for slot in 0..s.len() {
+            assert_eq!(read(&r, &s, slot), Err(ReadFault::DestroyedByProgram));
         }
     }
 }
