@@ -137,7 +137,7 @@ impl SectorLogFtl {
             ssd,
             data,
             log,
-            log_map: SubpageMap::with_capacity(map_capacity.max(1)),
+            log_map: SubpageMap::with_capacity(map_capacity.max(1), logical_sectors),
             buffer: WriteBuffer::new(config.write_buffer_sectors),
             stats: FtlStats::new(),
             seq: 0,

@@ -187,7 +187,8 @@ impl SubFtl {
             .iter()
             .map(|&gbi| SubBlock::new(gbi, gbi / bpc, g.pages_per_block))
             .collect();
-        let hash = SubpageMap::with_capacity(sub_gbis.len() * g.pages_per_block as usize);
+        let hash =
+            SubpageMap::with_capacity(sub_gbis.len() * g.pages_per_block as usize, logical_sectors);
         let mut ftl = Self::from_parts(config, ssd, full, blocks, hash);
         // Exclude factory-marked and previously grown bad blocks from
         // whichever region owns them; the reserve must stay usable.
@@ -388,8 +389,10 @@ impl SubFtl {
 
         // Hash entries: subpage copies strictly newer than the full copy of
         // the same sector (ties go to the full-page region).
-        let mut hash =
-            SubpageMap::with_capacity((sub_gbis.len() * g.pages_per_block as usize).max(1));
+        let mut hash = SubpageMap::with_capacity(
+            (sub_gbis.len() * g.pages_per_block as usize).max(1),
+            logical_sectors,
+        );
         for (&lsn, cand) in &sub_best {
             let full_seq = full_best
                 .get(&(lsn / page_sz))

@@ -15,10 +15,12 @@
 //! load), stored as parallel arrays of 8-byte keys and 12-byte packed
 //! entries — 20 bytes per slot — with probe-length statistics and exact
 //! memory accounting. These are the numbers behind the
-//! `table_mapping_memory` experiment. Beside them sits a one-bit-per-slot
-//! occupancy bitset, the host's lookup accelerator (not part of the
-//! table the paper sizes): most lookups are removes that miss, and a miss
-//! on an empty home slot then reads one bit instead of a random key.
+//! `table_mapping_memory` experiment. Beside them sits a membership bitset,
+//! one bit per logical sector, the host's lookup accelerator (not part of
+//! the table the paper sizes): most lookups are removes for sectors the map
+//! never held (every full-page write unmaps its sectors from the fine map),
+//! and each of those now tests one bit instead of hashing its key and
+//! probing the table.
 
 use esp_sim::SimTime;
 
@@ -90,9 +92,12 @@ impl Packed {
 /// hash collisions" claim experimentally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Lookups performed (hits and misses).
+    /// Lookups that reached the table: every insert, and every `get`,
+    /// `update` and `remove` of a sector the map holds. A lookup of a
+    /// sector the map does not hold is answered by its membership bit and
+    /// is not counted.
     pub lookups: u64,
-    /// Total probe steps beyond the home slot across all lookups.
+    /// Total probe steps beyond the home slot across those lookups.
     pub extra_probes: u64,
     /// Longest probe sequence observed.
     pub max_probe: u64,
@@ -116,28 +121,30 @@ impl ProbeStats {
 pub struct SubpageMap {
     keys: Vec<u64>,
     vals: Vec<Packed>,
-    /// Slot `i` holds a key iff bit `i % 64` of word `i / 64` is set.
-    occupied: Vec<u64>,
+    /// Sector `s` is in the table iff bit `s % 64` of word `s / 64` is set.
+    members: Vec<u64>,
     len: usize,
     max_entries: usize,
     stats: ProbeStats,
 }
 
 impl SubpageMap {
-    /// Creates a map that can hold `max_entries` live entries. The backing
-    /// arrays hold `1.25 × max_entries + 1` slots, bounding the load factor
-    /// at 80 %.
+    /// Creates a map that can hold `max_entries` live entries of the
+    /// sectors `0..sectors`. The backing arrays hold `1.25 × max_entries +
+    /// 1` slots, bounding the load factor at 80 %.
     ///
     /// # Panics
     ///
-    /// Panics if `max_entries` is zero.
+    /// Panics if `max_entries` is zero. Every later call panics on a sector
+    /// past `sectors` rounded up to a multiple of 64 (the callers map only
+    /// logical sectors, which the host path has checked).
     #[must_use]
-    pub fn with_capacity(max_entries: usize) -> Self {
+    pub fn with_capacity(max_entries: usize, sectors: u64) -> Self {
         assert!(max_entries > 0, "subpage map needs capacity");
         let slots = max_entries * 5 / 4 + 1;
         SubpageMap {
             keys: vec![EMPTY_KEY; slots],
-            occupied: vec![0; slots.div_ceil(64)],
+            members: vec![0; sectors.div_ceil(64) as usize],
             vals: vec![
                 Packed {
                     block: 0,
@@ -159,8 +166,9 @@ impl SubpageMap {
     }
 
     /// Exact memory footprint of the table the paper sizes, in bytes
-    /// (8-byte key + 12-byte packed entry per slot). The occupancy bitset,
-    /// one bit per slot, is a host-side lookup aid and is not counted.
+    /// (8-byte key + 12-byte packed entry per slot). The membership bitset,
+    /// one bit per logical sector, is a host-side lookup aid and is not
+    /// counted.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.keys.len() * std::mem::size_of::<u64>()
@@ -192,33 +200,27 @@ impl SubpageMap {
         self.stats.max_probe = self.stats.max_probe.max(extra + 1);
     }
 
-    fn is_occupied(&self, idx: usize) -> bool {
-        self.occupied[idx / 64] >> (idx % 64) & 1 == 1
-    }
-
-    /// Marks slot `idx` as holding a key (`true`) or empty.
-    fn set_occupied(&mut self, idx: usize, on: bool) {
-        let mask = 1 << (idx % 64);
+    /// Marks `lsn` as held (`true`) or not.
+    fn set_member(&mut self, lsn: u64, on: bool) {
+        let mask = 1 << (lsn % 64);
         if on {
-            self.occupied[idx / 64] |= mask;
+            self.members[(lsn / 64) as usize] |= mask;
         } else {
-            self.occupied[idx / 64] &= !mask;
+            self.members[(lsn / 64) as usize] &= !mask;
         }
     }
 
     /// Index of `key` if present, or of the first empty slot otherwise,
-    /// and the probe steps taken beyond the home slot. An empty slot is
-    /// told by its occupancy bit, before its key is read.
+    /// and the probe steps taken beyond the home slot.
     fn find(&self, key: u64) -> (usize, bool, u64) {
         debug_assert_ne!(key, EMPTY_KEY, "sentinel key is reserved");
         let mut idx = self.home(key);
         let mut extra = 0;
         loop {
-            if !self.is_occupied(idx) {
-                return (idx, false, extra);
-            }
-            if self.keys[idx] == key {
-                return (idx, true, extra);
+            match self.keys[idx] {
+                k if k == key => return (idx, true, extra),
+                EMPTY_KEY => return (idx, false, extra),
+                _ => {}
             }
             idx = self.next(idx);
             extra += 1;
@@ -227,6 +229,9 @@ impl SubpageMap {
 
     /// Looks up the entry for `lsn`.
     pub fn get(&mut self, lsn: u64) -> Option<SubEntry> {
+        if !self.contains(lsn) {
+            return None;
+        }
         let (idx, found, extra) = self.find(lsn);
         self.note_probe(extra);
         found.then(|| self.vals[idx].unpack())
@@ -235,14 +240,18 @@ impl SubpageMap {
     /// Looks up without touching statistics (for read-only diagnostics).
     #[must_use]
     pub fn peek(&self, lsn: u64) -> Option<SubEntry> {
+        if !self.contains(lsn) {
+            return None;
+        }
         let (idx, found, _) = self.find(lsn);
         found.then(|| self.vals[idx].unpack())
     }
 
-    /// True if `lsn` is mapped (no statistics update).
+    /// True if `lsn` is mapped: one bit, no hash, no probe and no
+    /// statistics update.
     #[must_use]
     pub fn contains(&self, lsn: u64) -> bool {
-        self.find(lsn).1
+        self.members[(lsn / 64) as usize] >> (lsn % 64) & 1 == 1
     }
 
     /// Inserts or replaces the entry for `lsn`. Returns the previous entry
@@ -267,7 +276,7 @@ impl SubpageMap {
             );
             self.keys[idx] = lsn;
             self.vals[idx] = Packed::pack(entry);
-            self.set_occupied(idx, true);
+            self.set_member(lsn, true);
             self.len += 1;
             None
         }
@@ -276,6 +285,9 @@ impl SubpageMap {
     /// Applies `f` to the entry for `lsn`, if present. Returns whether the
     /// entry existed.
     pub fn update<F: FnOnce(&mut SubEntry)>(&mut self, lsn: u64, f: F) -> bool {
+        if !self.contains(lsn) {
+            return false;
+        }
         let (idx, found, extra) = self.find(lsn);
         self.note_probe(extra);
         if found {
@@ -289,18 +301,22 @@ impl SubpageMap {
     /// Removes the entry for `lsn`, returning it if present. Uses
     /// backward-shift deletion, so no tombstones accumulate.
     pub fn remove(&mut self, lsn: u64) -> Option<SubEntry> {
+        if !self.contains(lsn) {
+            return None;
+        }
         let (idx, found, extra) = self.find(lsn);
         self.note_probe(extra);
         if !found {
             return None;
         }
         let removed = self.vals[idx].unpack();
+        self.set_member(lsn, false);
         self.len -= 1;
         // Backward-shift: close the hole by moving displaced entries back.
         let n = self.keys.len();
         let mut hole = idx;
         let mut cursor = self.next(hole);
-        while self.is_occupied(cursor) {
+        while self.keys[cursor] != EMPTY_KEY {
             let key = self.keys[cursor];
             let home = self.home(key);
             // Move back iff the hole lies within [home, cursor) cyclically.
@@ -314,7 +330,6 @@ impl SubpageMap {
             cursor = self.next(cursor);
         }
         self.keys[hole] = EMPTY_KEY;
-        self.set_occupied(hole, false);
         Some(removed)
     }
 
@@ -344,7 +359,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_round_trip() {
-        let mut m = SubpageMap::with_capacity(16);
+        let mut m = SubpageMap::with_capacity(16, 64);
         assert_eq!(m.len(), 0);
         assert_eq!(m.insert(5, e(1)), None);
         assert_eq!(m.insert(5, e(2)), Some(e(1)));
@@ -378,7 +393,7 @@ mod tests {
 
     #[test]
     fn update_mutates_in_place() {
-        let mut m = SubpageMap::with_capacity(4);
+        let mut m = SubpageMap::with_capacity(4, 64);
         m.insert(9, e(0));
         assert!(m.update(9, |x| x.updated = true));
         assert!(m.get(9).unwrap().updated);
@@ -387,7 +402,7 @@ mod tests {
 
     #[test]
     fn many_entries_with_collisions() {
-        let mut m = SubpageMap::with_capacity(1000);
+        let mut m = SubpageMap::with_capacity(1000, 1000);
         for k in 0..1000u64 {
             m.insert(k, e(k as u32));
         }
@@ -407,7 +422,7 @@ mod tests {
     fn backward_shift_preserves_chains() {
         // Force collisions in a small table, then remove entries and verify
         // every remaining key is still reachable.
-        let mut m = SubpageMap::with_capacity(64);
+        let mut m = SubpageMap::with_capacity(64, 64 * 7919);
         for k in 0..64u64 {
             m.insert(k * 7919, e(k as u32));
         }
@@ -423,7 +438,7 @@ mod tests {
     #[test]
     fn churn_interleaved_insert_remove() {
         // Heavy interleaving exercises backward-shift across wrap-around.
-        let mut m = SubpageMap::with_capacity(100);
+        let mut m = SubpageMap::with_capacity(100, 500);
         let mut live = std::collections::HashMap::new();
         let mut x: u64 = 0x1234_5678;
         for step in 0..20_000u64 {
@@ -446,7 +461,7 @@ mod tests {
 
     #[test]
     fn iter_visits_every_live_entry() {
-        let mut m = SubpageMap::with_capacity(32);
+        let mut m = SubpageMap::with_capacity(32, 64);
         for k in 10..20u64 {
             m.insert(k, e(k as u32));
         }
@@ -458,25 +473,25 @@ mod tests {
 
     #[test]
     fn memory_accounting_is_twenty_bytes_per_slot() {
-        let m = SubpageMap::with_capacity(1000);
+        let m = SubpageMap::with_capacity(1000, 1000);
         // 1251 slots x (8 + 12) bytes.
         assert_eq!(m.memory_bytes(), 1251 * 20);
         // 1.25x headroom plus one slot.
-        let m = SubpageMap::with_capacity(64);
+        let m = SubpageMap::with_capacity(64, 64);
         assert_eq!(m.memory_bytes(), (64 * 5 / 4 + 1) * 20);
     }
 
     #[test]
     #[should_panic(expected = "over capacity")]
     fn overfull_table_panics() {
-        let mut m = SubpageMap::with_capacity(4);
+        let mut m = SubpageMap::with_capacity(4, 100);
         for k in 0..100u64 {
             m.insert(k, e(0));
         }
     }
 
-    /// The map as it was before the occupancy bitset: an empty slot is
-    /// told by its sentinel key.
+    /// The map without its membership bitset: every lookup hashes and
+    /// probes, and an empty slot is told by its sentinel key.
     struct KeyProbed {
         keys: Vec<u64>,
         vals: Vec<SubEntry>,
@@ -497,8 +512,9 @@ mod tests {
             (idx + 1) % self.keys.len()
         }
 
-        /// Finds `key` and counts the lookup.
-        fn probe(&mut self, key: u64) -> (usize, bool) {
+        /// Finds `key`. The lookup counts when it reaches `SubpageMap`'s
+        /// table too: when the key is held, or to insert it.
+        fn probe(&mut self, key: u64, inserting: bool) -> (usize, bool) {
             let mut idx = home_slot(key, self.keys.len());
             let mut extra = 0;
             let found = loop {
@@ -510,19 +526,21 @@ mod tests {
                 idx = self.next(idx);
                 extra += 1;
             };
-            self.stats.lookups += 1;
-            self.stats.extra_probes += extra;
-            self.stats.max_probe = self.stats.max_probe.max(extra + 1);
+            if found || inserting {
+                self.stats.lookups += 1;
+                self.stats.extra_probes += extra;
+                self.stats.max_probe = self.stats.max_probe.max(extra + 1);
+            }
             (idx, found)
         }
 
         fn get(&mut self, key: u64) -> Option<SubEntry> {
-            let (idx, found) = self.probe(key);
+            let (idx, found) = self.probe(key, false);
             found.then_some(self.vals[idx])
         }
 
         fn insert(&mut self, key: u64, entry: SubEntry) -> Option<SubEntry> {
-            let (idx, found) = self.probe(key);
+            let (idx, found) = self.probe(key, true);
             let old = found.then_some(self.vals[idx]);
             self.keys[idx] = key;
             self.vals[idx] = entry;
@@ -530,7 +548,7 @@ mod tests {
         }
 
         fn update(&mut self, key: u64) -> bool {
-            let (idx, found) = self.probe(key);
+            let (idx, found) = self.probe(key, false);
             if found {
                 self.vals[idx].updated = true;
             }
@@ -538,7 +556,7 @@ mod tests {
         }
 
         fn remove(&mut self, key: u64) -> Option<SubEntry> {
-            let (idx, found) = self.probe(key);
+            let (idx, found) = self.probe(key, false);
             if !found {
                 return None;
             }
@@ -563,7 +581,7 @@ mod tests {
     fn occupancy_bits_change_no_result_and_no_probe_count() {
         for seed in 0..6u64 {
             let cap = 64 + 40 * seed as usize;
-            let mut m = SubpageMap::with_capacity(cap);
+            let mut m = SubpageMap::with_capacity(cap, 3 * cap as u64);
             let mut reference = KeyProbed::new(cap);
             let mut rng = esp_sim::Rng::seed_from(seed);
             for step in 0..20_000u64 {
@@ -587,15 +605,16 @@ mod tests {
                 .map(|(&k, &v)| (k, v))
                 .collect();
             assert_eq!(m.iter().collect::<Vec<_>>(), live, "seed {seed}");
-            for (i, &k) in m.keys.iter().enumerate() {
-                assert_eq!(m.is_occupied(i), k != EMPTY_KEY, "seed {seed} slot {i}");
+            for key in 0..3 * cap as u64 {
+                let held = live.iter().any(|&(k, _)| k == key);
+                assert_eq!(m.contains(key), held, "seed {seed} key {key}");
             }
         }
     }
 
     #[test]
     fn peek_and_contains_do_not_count() {
-        let mut m = SubpageMap::with_capacity(8);
+        let mut m = SubpageMap::with_capacity(8, 64);
         m.insert(1, e(1));
         let before = m.probe_stats().lookups;
         assert!(m.contains(1));

@@ -404,7 +404,9 @@ fn golden_greedy_background_gc_open_arrivals() {
 
 /// subFTL's subpage-map probe counters and live entry count after seeded
 /// runs. `run_json` carries neither, so a read or GC path that adds or
-/// skips a fine-map lookup moves no digest above; these numbers catch it.
+/// skips a fine-map lookup of a sector the map holds moves no digest
+/// above; these numbers catch it. (A lookup of a sector the map does not
+/// hold is answered by its membership bit and counts nothing.)
 #[test]
 fn golden_subpage_map_probes() {
     let cfg = base();
@@ -424,9 +426,9 @@ fn golden_subpage_map_probes() {
             "default",
             cfg.clone(),
             trace_cfg(&cfg, 3_000, 11),
-            [23888, 40183, 38, 127],
+            [18050, 28941, 38, 127],
         ),
-        ("hot_reads", hot, hot_trace, [17796, 14653, 20, 110]),
+        ("hot_reads", hot, hot_trace, [4391, 1960, 14, 110]),
     ];
     for (name, cfg, trace, expect) in arms {
         let mut ftl = SubFtl::new(&cfg);

@@ -120,7 +120,8 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
+    /// `1 + 0.5^θ`: a scaled draw below this (and at least 1) is rank 1.
+    rank1_below: f64,
 }
 
 impl Zipf {
@@ -143,7 +144,7 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -175,10 +176,9 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) && self.n >= 2 {
+        if uz < self.rank1_below && self.n >= 2 {
             return 1;
         }
-        let _ = self.zeta2;
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }

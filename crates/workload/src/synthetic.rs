@@ -11,6 +11,8 @@
 //! (plus footprint, skew, read mix and sizing details), so the Fig 2 sweep
 //! and the five benchmark profiles of §5 are all instances of one generator.
 
+use std::collections::VecDeque;
+
 use esp_sim::{Rng, SimDuration, SimTime, Zipf};
 
 use crate::request::{IoRequest, Trace, SECTORS_PER_PAGE};
@@ -62,12 +64,19 @@ pub struct SyntheticConfig {
     /// writes ... hot and cold pages tend to be isolated"). `None` spreads
     /// small writes over the whole footprint.
     pub small_zone_sectors: Option<u64>,
-    /// Minimum distance, in requests, before the same sector may be
-    /// re-written by a small write (0 = no constraint). Traces reaching an
-    /// FTL have passed through the host page cache, which absorbs
-    /// short-interval rewrites; without this constraint the FTL's own
-    /// write buffer would absorb them a second time and inflate apparent
-    /// throughput.
+    /// Length, in small writes, of the host page cache's rewrite window
+    /// (0 = no window). Traces reaching an FTL have passed through the host
+    /// page cache, which absorbs short-interval rewrites; without the
+    /// window the FTL's own write buffer would absorb them a second time
+    /// and inflate apparent throughput.
+    ///
+    /// The window holds the sectors of the last `rewrite_distance` small
+    /// writes. A small write whose first draw lands in the window redraws,
+    /// at most eight times, and then keeps its last draw even if that is
+    /// still in the window, so a sector can be queued twice. When the
+    /// oldest queued write leaves the window its sector leaves too, even if
+    /// the sector was queued again since. The window is therefore a soft
+    /// preference, not a guaranteed minimum distance.
     pub rewrite_distance: u64,
     /// If true, large writes stream sequentially through the footprint
     /// (log/SSTable style) instead of following the Zipf distribution.
@@ -162,20 +171,41 @@ fn weighted_pick(rng: &mut Rng, weights: &[u32], values: &[u32]) -> u32 {
     values[values.len() - 1]
 }
 
-/// Maps a popularity rank to a sector so that hot ranks are scattered across
-/// the address space (a fixed odd-multiplier permutation; bijective because
-/// the multiplier is coprime with any footprint after the adjustment below).
-fn rank_to_sector(rank: u64, footprint: u64) -> u64 {
-    // 0x9E3779B97F4A7C15 is odd; make sure it is coprime with footprint by
-    // falling back to stride 1 when footprint is a multiple of it (it never
-    // is for realistic sizes, but stay correct).
-    const STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-    let stride = if gcd(STRIDE % footprint, footprint) == 1 {
-        STRIDE % footprint
-    } else {
-        1
-    };
-    (rank % footprint).wrapping_mul(stride) % footprint
+/// Maps popularity ranks to the sectors of one footprint (the whole
+/// footprint, or the small zone): rank `r` lands on sector
+/// `r × stride mod footprint`.
+///
+/// The stride is `0x9E37_79B9_7F4A_7C15 mod footprint` when that is
+/// coprime with the footprint, which scatters hot ranks over the address
+/// space, and 1 otherwise. The constant is 5 × 139 × 199 × …, and the
+/// paper's 0.625 fill (5/8) makes every benchmark footprint a multiple of
+/// 5: 61,440, 491,520, 15,360 and 30,720 sectors, and the small zones 960,
+/// 3,840, 240 and 480. On all of them the stride is 1, so the map is the
+/// identity: rank `r` is sector `r`, and the hottest sectors sit together
+/// at the start of the footprint or zone. Power-of-two footprints such as
+/// the default 65,536 do scatter.
+struct RankMap {
+    footprint: u64,
+    stride: u64,
+}
+
+impl RankMap {
+    fn new(footprint: u64) -> Self {
+        const STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+        let stride = if gcd(STRIDE % footprint, footprint) == 1 {
+            STRIDE % footprint
+        } else {
+            1
+        };
+        RankMap { footprint, stride }
+    }
+
+    /// The sector of `rank`, which is below the footprint (every rank
+    /// comes from a sampler over exactly this footprint).
+    fn sector(&self, rank: u64) -> u64 {
+        debug_assert!(rank < self.footprint, "rank {rank} outside the map");
+        rank.wrapping_mul(self.stride) % self.footprint
+    }
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -183,6 +213,43 @@ fn gcd(a: u64, b: u64) -> u64 {
         a
     } else {
         gcd(b, a % b)
+    }
+}
+
+/// The host page cache's rewrite window (see
+/// [`SyntheticConfig::rewrite_distance`]): the sectors of the last
+/// `distance` small writes, as a queue of writes and a bitset over the
+/// small zone of the sectors in the window.
+struct RewriteWindow {
+    distance: u64,
+    queue: VecDeque<u64>,
+    /// Sector `s` is in the window iff bit `s % 64` of word `s / 64` is set.
+    held: Vec<u64>,
+}
+
+impl RewriteWindow {
+    fn new(distance: u64, zone: u64) -> Self {
+        RewriteWindow {
+            distance,
+            queue: VecDeque::new(),
+            held: vec![0; zone.div_ceil(64) as usize],
+        }
+    }
+
+    fn holds(&self, sector: u64) -> bool {
+        self.held[(sector / 64) as usize] >> (sector % 64) & 1 == 1
+    }
+
+    /// Queues a write to `sector`. When that pushes the oldest write out,
+    /// its sector leaves the window even if it is queued again since.
+    fn push(&mut self, sector: u64) {
+        self.queue.push_back(sector);
+        self.held[(sector / 64) as usize] |= 1 << (sector % 64);
+        if self.queue.len() as u64 > self.distance {
+            if let Some(old) = self.queue.pop_front() {
+                self.held[(old / 64) as usize] &= !(1 << (old % 64));
+            }
+        }
     }
 }
 
@@ -202,16 +269,13 @@ pub fn generate(config: &SyntheticConfig) -> Trace {
         .small_zone_sectors
         .unwrap_or(config.footprint_sectors);
     let small_zipf = Zipf::new(small_zone, config.zipf_theta);
+    let ranks = RankMap::new(config.footprint_sectors);
+    let small_ranks = RankMap::new(small_zone);
     let page = u64::from(SECTORS_PER_PAGE);
     let mut trace = Trace::new(config.footprint_sectors);
-    let mut seq_cursor: u64 = rank_to_sector(
-        rng.next_below(config.footprint_sectors),
-        config.footprint_sectors,
-    ) / page
-        * page;
+    let mut seq_cursor: u64 = ranks.sector(rng.next_below(config.footprint_sectors)) / page * page;
     let mut clock = SimTime::ZERO;
-    let mut recent: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut recent_queue: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
+    let mut window = RewriteWindow::new(config.rewrite_distance, small_zone);
 
     for n in 0..config.requests {
         let arrival = clock;
@@ -224,8 +288,7 @@ pub fn generate(config: &SyntheticConfig) -> Trace {
             // Read a (likely hot) location.
             let sectors = weighted_pick(&mut rng, &[4, 2, 1], &[1, 4, 8]);
             let max_start = config.footprint_sectors - u64::from(sectors);
-            let lsn =
-                rank_to_sector(zipf.sample(&mut rng), config.footprint_sectors).min(max_start);
+            let lsn = ranks.sector(zipf.sample(&mut rng)).min(max_start);
             trace.push(IoRequest::read(arrival, lsn, sectors));
             continue;
         }
@@ -234,23 +297,21 @@ pub fn generate(config: &SyntheticConfig) -> Trace {
             // Small write: 1..=3 sectors at a hot location.
             let sectors = weighted_pick(&mut rng, &config.small_sector_weights, &[1, 2, 3]);
             let max_start = config.footprint_sectors - u64::from(sectors);
-            let mut lsn = rank_to_sector(small_zipf.sample(&mut rng), small_zone).min(max_start);
+            let mut lsn = small_ranks
+                .sector(small_zipf.sample(&mut rng))
+                .min(max_start);
             if config.rewrite_distance > 0 {
                 // Emulate the host page cache: retry a few times to avoid
                 // re-writing a recently written sector.
                 for _ in 0..8 {
-                    if !recent.contains(&lsn) {
+                    if !window.holds(lsn) {
                         break;
                     }
-                    lsn = rank_to_sector(small_zipf.sample(&mut rng), small_zone).min(max_start);
+                    lsn = small_ranks
+                        .sector(small_zipf.sample(&mut rng))
+                        .min(max_start);
                 }
-                recent_queue.push_back(lsn);
-                recent.insert(lsn);
-                if recent_queue.len() as u64 > config.rewrite_distance {
-                    if let Some(old) = recent_queue.pop_front() {
-                        recent.remove(&old);
-                    }
-                }
+                window.push(lsn);
             }
             let sync = rng.chance(config.r_synch);
             trace.push(IoRequest::write(arrival, lsn, sectors, sync));
@@ -265,8 +326,7 @@ pub fn generate(config: &SyntheticConfig) -> Trace {
                 }
                 l
             } else {
-                let aligned =
-                    rank_to_sector(zipf.sample(&mut rng), config.footprint_sectors) / page * page;
+                let aligned = ranks.sector(zipf.sample(&mut rng)) / page * page;
                 if rng.chance(config.misaligned_large_fraction) {
                     aligned + rng.next_in(1, page - 1)
                 } else {
@@ -495,10 +555,10 @@ mod tests {
     #[test]
     fn rank_permutation_is_bijective_prefix() {
         // The top-1000 ranks map to 1000 distinct sectors.
-        let footprint = 64 * 1024;
+        let ranks = RankMap::new(64 * 1024);
         let mut seen = std::collections::HashSet::new();
         for rank in 0..1000 {
-            assert!(seen.insert(rank_to_sector(rank, footprint)));
+            assert!(seen.insert(ranks.sector(rank)));
         }
     }
 }

@@ -12,6 +12,7 @@
 //!
 //! Columns: arrival time in nanoseconds, `R`/`W`, starting LSN (4 KB
 //! sectors), length in sectors, `S` for synchronous writes (`-` otherwise).
+//! The `footprint` header comes once, before the first request.
 
 use std::error::Error;
 use std::fmt;
@@ -102,7 +103,6 @@ pub fn save_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
 /// Returns [`ParseTraceError`] on I/O failure or malformed input.
 pub fn load_trace<R: Read>(r: R) -> Result<Trace, ParseTraceError> {
     let reader = BufReader::new(r);
-    let mut footprint: Option<u64> = None;
     let mut trace: Option<Trace> = None;
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
@@ -112,6 +112,12 @@ pub fn load_trace<R: Read>(r: R) -> Result<Trace, ParseTraceError> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("footprint ") {
+            if trace.is_some() {
+                return Err(ParseTraceError::Malformed {
+                    line: line_no,
+                    reason: "repeated footprint header".into(),
+                });
+            }
             let fp = rest
                 .trim()
                 .parse::<u64>()
@@ -119,7 +125,6 @@ pub fn load_trace<R: Read>(r: R) -> Result<Trace, ParseTraceError> {
                     line: line_no,
                     reason: format!("bad footprint: {e}"),
                 })?;
-            footprint = Some(fp);
             trace = Some(Trace::new(fp));
             continue;
         }
@@ -150,7 +155,7 @@ pub fn load_trace<R: Read>(r: R) -> Result<Trace, ParseTraceError> {
         let end = lsn
             .checked_add(u64::from(sectors))
             .ok_or_else(|| malformed(format!("lsn {lsn} + length {sectors} overflows")))?;
-        if end > footprint.unwrap_or(0) {
+        if end > trace_ref.footprint_sectors {
             return Err(malformed("request exceeds footprint".into()));
         }
         let arrival = SimTime::from_nanos(arrival);
@@ -208,6 +213,18 @@ mod tests {
         let text = "footprint 100\n0 W 0 1 S\nnot a line\n";
         match load_trace(text.as_bytes()) {
             Err(ParseTraceError::Malformed { line, .. }) => assert_eq!(line, 3),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_repeated_footprint_header_is_an_error() {
+        let text = "footprint 100\n0 W 0 1 S\nfootprint 50\n";
+        match load_trace(text.as_bytes()) {
+            Err(ParseTraceError::Malformed { line, reason }) => {
+                assert_eq!(line, 3);
+                assert!(reason.contains("footprint"), "reason: {reason}");
+            }
             other => panic!("expected Malformed, got {other:?}"),
         }
     }

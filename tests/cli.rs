@@ -349,6 +349,22 @@ fn malformed_trace_fails_with_line_number_not_a_panic() {
     );
     std::fs::remove_file(&path).ok();
 
+    // A second `footprint` header would start a new trace and drop the
+    // requests read so far: it is an error on its line too.
+    let path = dir.join("two_headers.trace");
+    std::fs::write(&path, "footprint 100\n0 W 0 1 S\nfootprint 50\n").unwrap();
+    let (ok, _, stderr) = espsim(&["replay", "--ftl", "sub", "--trace", path.to_str().unwrap()]);
+    assert!(!ok, "a repeated footprint header must fail the process");
+    assert!(
+        stderr.starts_with("espsim:") && stderr.contains("line 3"),
+        "error should name the offending line: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "parse failure must not be a panic: {stderr}"
+    );
+    std::fs::remove_file(&path).ok();
+
     // Same contract for the MSR CSV importer.
     let path = dir.join("bad.csv");
     std::fs::write(
