@@ -29,8 +29,8 @@
 //! Degraded / Rebuilding ──second device loss──▶ Failed
 //! ```
 //!
-//! [`EspArray`] implements [`Ftl`] itself, so the calendar-queue replay
-//! engine ([`esp_core::run_trace_qd`]), preconditioning and the report
+//! [`EspArray`] implements [`Ftl`] itself, so the replay engine
+//! ([`esp_core::run_trace_qd`]), preconditioning and the report
 //! pipeline drive an array exactly like a single device. Aggregate FTL
 //! statistics are the field-wise sum over shards ([`FtlStats::plus`]).
 //!

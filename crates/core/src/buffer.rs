@@ -20,7 +20,9 @@
 //! merge rather than per-sector tree inserts, a full drain moves the run
 //! list out whole, and the flush path allocates nothing per sector. The
 //! run list is kept sorted, disjoint, and maximal (no two runs touch), so
-//! every operation can binary-search by start/end.
+//! every operation can binary-search by start/end. A synchronous write
+//! that touches no run — almost every one on the paper's sync-heavy
+//! workloads — leaves as a fresh chunk without the run list being shifted.
 
 use esp_sim::SimTime;
 use esp_ssd::Ssd;
@@ -116,6 +118,56 @@ impl WriteBuffer {
         i > 0 && self.runs[i - 1].end_lsn() > lsn
     }
 
+    /// The runs a write of `[lsn, end)` overlaps *or touches*, as the
+    /// index range `[i, j)`: those with `end_lsn >= lsn` and
+    /// `start_lsn <= end`. Runs are sorted, so `j` is found by walking on
+    /// from `i` over the (usually zero or one) runs that qualify.
+    fn touching(&self, lsn: u64, end: u64) -> (usize, usize) {
+        let i = self.runs.partition_point(|r| r.end_lsn() < lsn);
+        let j = i + self.runs[i..]
+            .iter()
+            .take_while(|r| r.start_lsn <= end)
+            .count();
+        (i, j)
+    }
+
+    /// The run that merging a write of `[lsn, end)` with `runs[i..j]` (the
+    /// runs it touches, `i < j`) forms. Sectors inside `[lsn, end)` take
+    /// the write's origin (absorbed overwrites); the prefix of `runs[i]`
+    /// below `lsn` and the suffix of `runs[j - 1]` past `end` keep theirs.
+    /// Interior gaps are inside `[lsn, end)` by construction, so the
+    /// merged run is dense.
+    fn merged(&mut self, i: usize, j: usize, lsn: u64, end: u64, small_origin: bool) -> FlushChunk {
+        let mut origins = self.fresh_origins();
+        let (first, last) = (&self.runs[i], &self.runs[j - 1]);
+        let start_lsn = first.start_lsn.min(lsn);
+        origins.reserve((last.end_lsn().max(end) - start_lsn) as usize);
+        if first.start_lsn < lsn {
+            origins.extend_from_slice(&first.origins[..(lsn - first.start_lsn) as usize]);
+        }
+        origins.resize(origins.len() + (end - lsn) as usize, small_origin);
+        if last.end_lsn() > end {
+            origins.extend_from_slice(&last.origins[(end - last.start_lsn) as usize..]);
+        }
+        FlushChunk { start_lsn, origins }
+    }
+
+    /// Removes `runs[i..j]`, recycling their storage, and returns how many
+    /// sectors they held.
+    fn remove_runs(&mut self, i: usize, j: usize) -> usize {
+        let mut removed = 0;
+        for k in i..j {
+            let spent = std::mem::take(&mut self.runs[k].origins);
+            removed += spent.len();
+            self.recycle(FlushChunk {
+                start_lsn: 0,
+                origins: spent,
+            });
+        }
+        self.runs.drain(i..j);
+        removed
+    }
+
     /// Buffers `sectors` sectors starting at `lsn`; overwrites of already
     /// buffered sectors are absorbed in place (taking this write's
     /// origin flag).
@@ -124,10 +176,7 @@ impl WriteBuffer {
             return;
         }
         let end = lsn + u64::from(sectors);
-        // Runs that overlap *or touch* the written range merge with it:
-        // `[i, j)` spans those with `end_lsn >= lsn` and `start_lsn <= end`.
-        let i = self.runs.partition_point(|r| r.end_lsn() < lsn);
-        let j = self.runs.partition_point(|r| r.start_lsn <= end);
+        let (i, j) = self.touching(lsn, end);
         if i == j {
             // No neighbors: a fresh run.
             let mut origins = self.fresh_origins();
@@ -142,43 +191,44 @@ impl WriteBuffer {
             self.len += sectors as usize;
             return;
         }
-        // Merge runs[i..j] with the write. Sectors inside [lsn, end) take
-        // this write's origin (absorbed overwrites); the prefix of
-        // runs[i] below `lsn` and the suffix of runs[j-1] above `end`
-        // keep theirs. Interior gaps are inside [lsn, end) by
-        // construction, so the merged run is dense.
-        let new_start = self.runs[i].start_lsn.min(lsn);
-        let new_end = self.runs[j - 1].end_lsn().max(end);
-        let mut origins = self.fresh_origins();
-        origins.reserve((new_end - new_start) as usize);
-        if self.runs[i].start_lsn < lsn {
-            origins.extend_from_slice(
-                &self.runs[i].origins[..(lsn - self.runs[i].start_lsn) as usize],
-            );
-        }
-        origins.resize(origins.len() + sectors as usize, small_origin);
-        let last = &self.runs[j - 1];
-        if last.end_lsn() > end {
-            origins.extend_from_slice(&last.origins[(end - last.start_lsn) as usize..]);
-        }
-        let removed: usize = self.runs[i..j].iter().map(|r| r.origins.len()).sum();
-        self.len += origins.len() - removed;
-        let old = std::mem::replace(
-            &mut self.runs[i],
-            FlushChunk {
-                start_lsn: new_start,
-                origins,
-            },
-        );
+        let merged = self.merged(i, j, lsn, end, small_origin);
+        self.len += merged.origins.len();
+        let old = std::mem::replace(&mut self.runs[i], merged);
+        self.len -= old.origins.len();
         self.recycle(old);
-        for k in i + 1..j {
-            let spent = std::mem::take(&mut self.runs[k].origins);
-            self.recycle(FlushChunk {
-                start_lsn: 0,
-                origins: spent,
-            });
+        self.len -= self.remove_runs(i + 1, j);
+    }
+
+    /// A synchronous write of `sectors` sectors at `lsn`: buffers it and
+    /// forces it out at once together with the runs it overlaps or touches
+    /// (its merge partners), as one chunk appended to `out` — the chunk
+    /// that inserting the write and then taking its run would emit.
+    ///
+    /// A write that touches no run leaves as a fresh chunk and the run list
+    /// is not shifted; otherwise the touched runs leave with one `drain`.
+    fn write_through_into(
+        &mut self,
+        lsn: u64,
+        sectors: u32,
+        small_origin: bool,
+        out: &mut Vec<FlushChunk>,
+    ) {
+        let end = lsn + u64::from(sectors);
+        let (i, j) = self.touching(lsn, end);
+        if i == j {
+            if sectors > 0 {
+                let mut origins = self.fresh_origins();
+                origins.resize(sectors as usize, small_origin);
+                out.push(FlushChunk {
+                    start_lsn: lsn,
+                    origins,
+                });
+            }
+            return;
         }
-        self.runs.drain(i + 1..j);
+        let merged = self.merged(i, j, lsn, end, small_origin);
+        self.len -= self.remove_runs(i, j);
+        out.push(merged);
     }
 
     /// Removes every buffered sector as maximal contiguous chunks, in
@@ -226,22 +276,6 @@ impl WriteBuffer {
         self.len -= dropped as usize;
         dropped
     }
-
-    /// Removes the contiguous runs that overlap *or touch*
-    /// `[lsn, lsn + sectors)` — the sectors a synchronous write must force
-    /// out, together with their merge partners — appending each run whole,
-    /// as its own chunk, to `out` (which the caller reuses across flushes).
-    fn take_overlapping_into(&mut self, lsn: u64, sectors: u32, out: &mut Vec<FlushChunk>) {
-        let end = lsn + u64::from(sectors);
-        let i = self.runs.partition_point(|r| r.end_lsn() < lsn);
-        let j = self.runs.partition_point(|r| r.start_lsn <= end);
-        if i == j {
-            return;
-        }
-        let taken: u32 = self.runs[i..j].iter().map(FlushChunk::sectors).sum();
-        self.len -= taken as usize;
-        out.extend(self.runs.drain(i..j));
-    }
 }
 
 /// The parts of an FTL the write-back front end drives.
@@ -288,15 +322,16 @@ pub(crate) trait FrontEnd {
             f.stats.small_write_requests += 1;
             f.stats.small_waf_host_sectors += u64::from(sectors);
         }
-        f.buffer.insert(lsn, sectors, small);
         if !sync {
+            f.buffer.insert(lsn, sectors, small);
             if f.buffer.is_full() {
                 self.flush_buffer(issue);
             }
             return issue;
         }
         let mut chunks = std::mem::take(f.chunks);
-        f.buffer.take_overlapping_into(lsn, sectors, &mut chunks);
+        f.buffer
+            .write_through_into(lsn, sectors, small, &mut chunks);
         let done = self.flush_chunks(&mut chunks, issue);
         *self.front().chunks = chunks;
         done
@@ -355,9 +390,9 @@ mod tests {
         out
     }
 
-    fn take_overlapping(b: &mut WriteBuffer, lsn: u64, sectors: u32) -> Vec<FlushChunk> {
+    fn write_through(b: &mut WriteBuffer, lsn: u64, sectors: u32, small: bool) -> Vec<FlushChunk> {
         let mut out = Vec::new();
-        b.take_overlapping_into(lsn, sectors, &mut out);
+        b.write_through_into(lsn, sectors, small, &mut out);
         out
     }
 
@@ -373,6 +408,7 @@ mod tests {
         let chunks = drain_all(&mut b);
         assert_eq!(chunks[0].origins, vec![true, false, true]);
         assert_eq!(b.len, 0);
+        check(&b);
     }
 
     #[test]
@@ -404,54 +440,74 @@ mod tests {
     }
 
     #[test]
-    fn take_overlapping_grabs_whole_runs() {
+    fn write_through_grabs_whole_runs() {
         let mut b = WriteBuffer::new(100);
         b.insert(4, 4, true); // run 4..8
         b.insert(20, 1, false);
         // Sync write of sector 5 must flush the whole 4..8 run (its merge
-        // partners) but leave 20 alone.
-        let chunks = take_overlapping(&mut b, 5, 1);
+        // partners) with it, as one chunk, but leave 20 alone.
+        let chunks = write_through(&mut b, 5, 1, false);
         assert_eq!(chunks.len(), 1);
         assert_eq!((chunks[0].start_lsn, chunks[0].sectors()), (4, 4));
+        assert_eq!(chunks[0].origins, vec![true, false, true, true]);
         assert_eq!(b.len, 1);
-        assert!(b.contains(20));
+        assert!(b.contains(20) && !b.contains(5));
         check(&b);
     }
 
     #[test]
-    fn take_overlapping_extends_in_both_directions() {
+    fn write_through_extends_in_both_directions() {
         let mut b = WriteBuffer::new(100);
         b.insert(8, 2, true); // 8,9
         b.insert(12, 2, true); // 12,13
-                               // Taking [9, 13) touches both runs; each comes out whole.
-        let chunks = take_overlapping(&mut b, 9, 4);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!((chunks[0].start_lsn, chunks[0].sectors()), (8, 2));
-        assert_eq!((chunks[1].start_lsn, chunks[1].sectors()), (12, 2));
+                               // Writing [9, 13) touches both runs; they leave merged with it.
+        let chunks = write_through(&mut b, 9, 4, false);
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks[0].start_lsn, 8);
+        assert_eq!(
+            chunks[0].origins,
+            vec![true, false, false, false, false, true]
+        );
         assert_eq!(b.len, 0);
+        check(&b);
     }
 
     #[test]
-    fn take_overlapping_grabs_adjacent_runs() {
+    fn write_through_grabs_adjacent_runs() {
         // A run ending exactly at the sync write's start (or starting at
         // its end) is a merge partner and comes out too — even when the
         // written sectors themselves are not buffered.
         let mut b = WriteBuffer::new(100);
         b.insert(2, 2, true); // 2,3
         b.insert(6, 2, false); // 6,7
-        let chunks = take_overlapping(&mut b, 4, 2); // [4, 6): touches both
-        assert_eq!(chunks.len(), 2);
-        assert_eq!((chunks[0].start_lsn, chunks[0].sectors()), (2, 2));
-        assert_eq!((chunks[1].start_lsn, chunks[1].sectors()), (6, 2));
+        let chunks = write_through(&mut b, 4, 2, true); // [4, 6): touches both
+        assert_eq!(chunks.len(), 1);
+        assert_eq!((chunks[0].start_lsn, chunks[0].sectors()), (2, 6));
         assert_eq!(b.len, 0);
+        check(&b);
     }
 
     #[test]
-    fn take_overlapping_on_empty_range_returns_nothing() {
+    fn write_through_of_an_untouched_range_is_a_fresh_chunk() {
         let mut b = WriteBuffer::new(100);
         b.insert(0, 1, true);
-        assert!(take_overlapping(&mut b, 50, 2).is_empty());
-        assert_eq!(b.len, 1);
+        b.insert(5, 1, true);
+        // [2, 4) neither overlaps nor touches a run (1 and 4 are free).
+        let chunks = write_through(&mut b, 2, 2, false);
+        assert_eq!(
+            chunks,
+            vec![FlushChunk {
+                start_lsn: 2,
+                origins: vec![false, false]
+            }]
+        );
+        assert_eq!(b.len, 2);
+        assert_eq!(b.runs.len(), 2);
+        check(&b);
+        // A zero-length sync write forces out only the run it touches.
+        assert!(write_through(&mut b, 3, 0, false).is_empty());
+        assert_eq!(write_through(&mut b, 6, 0, false).len(), 1);
+        check(&b);
     }
 
     #[test]
@@ -500,7 +556,8 @@ mod tests {
     fn randomized_against_btreemap_reference() {
         // Differential test: the run-based buffer must agree with the
         // original per-sector BTreeMap implementation on every operation
-        // of a random interleaving.
+        // of a random interleaving. A sync write's reference inserts the
+        // write, then takes the runs it overlaps or touches.
         use std::collections::BTreeMap;
         struct Reference {
             entries: BTreeMap<u64, bool>,
@@ -537,6 +594,10 @@ mod tests {
                     .collect();
                 Self::runs(taken)
             }
+            fn write_through(&mut self, lsn: u64, sectors: u32, small: bool) -> Vec<FlushChunk> {
+                self.insert(lsn, sectors, small);
+                self.take_overlapping(lsn, sectors)
+            }
             fn drain_all(&mut self) -> Vec<FlushChunk> {
                 let e = std::mem::take(&mut self.entries);
                 Self::runs(e.into_iter().collect())
@@ -556,6 +617,7 @@ mod tests {
             }
         }
 
+        const SECTORS: u64 = 56;
         let mut rng = esp_sim::Rng::seed_from(0xB0FF);
         for _ in 0..200 {
             let mut buf = WriteBuffer::new(64);
@@ -566,11 +628,17 @@ mod tests {
                 let lsn = rng.next_u64() % 48;
                 let sectors = (rng.next_u64() % 6 + 1) as u32;
                 let small = rng.next_u64().is_multiple_of(2);
-                match rng.next_u64() % 8 {
+                match rng.next_u64() % 9 {
                     0 => {
+                        // Now and then a zero-length write.
+                        let sectors = if rng.next_u64().is_multiple_of(8) {
+                            0
+                        } else {
+                            sectors
+                        };
                         assert_eq!(
-                            take_overlapping(&mut buf, lsn, sectors),
-                            reference.take_overlapping(lsn, sectors)
+                            write_through(&mut buf, lsn, sectors, small),
+                            reference.write_through(lsn, sectors, small)
                         );
                     }
                     1 => {
@@ -579,6 +647,18 @@ mod tests {
                     2 => {
                         assert_eq!(buf.discard(lsn, sectors), reference.discard(lsn, sectors));
                     }
+                    3 | 4 => {
+                        // A write starting inside the last run or at its
+                        // end: the merge keeps that run's prefix.
+                        let Some(last) = buf.runs.last() else {
+                            continue;
+                        };
+                        let lsn = last.start_lsn + rng.next_u64() % (u64::from(last.sectors()) + 1);
+                        if lsn + u64::from(sectors) < SECTORS {
+                            buf.insert(lsn, sectors, small);
+                            reference.insert(lsn, sectors, small);
+                        }
+                    }
                     _ => {
                         buf.insert(lsn, sectors, small);
                         reference.insert(lsn, sectors, small);
@@ -586,7 +666,7 @@ mod tests {
                 }
                 check(&buf);
                 assert_eq!(buf.len, reference.entries.len());
-                for s in 0..56 {
+                for s in 0..SECTORS {
                     assert_eq!(buf.contains(s), reference.entries.contains_key(&s));
                 }
             }

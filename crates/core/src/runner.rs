@@ -21,30 +21,36 @@
 //! `tenant.rs`) vanish in the one-tenant, unlimited-rate case.
 //!
 //! The loop models an NCQ-style host: up to `queue_depth`
-//! requests are in flight at once, one per queue slot, and the slots'
-//! completion times sit in an event calendar. A request is admitted when
-//! the earliest in-flight request completes (out-of-order completion
+//! requests are in flight at once, one per queue slot, and a table keeps
+//! each slot's occupant and its completion time. A request is admitted
+//! when the earliest in-flight request completes (out-of-order completion
 //! falls out naturally — each request's completion is independent), and
 //! its issue time is the latest of
 //!
 //! 1. its **arrival** (the open arrival model: timestamps come from the
 //!    trace — fixed-spaced, bursty, Poisson via
 //!    `Trace::with_poisson_arrivals`, or trace-file supplied),
-//! 2. the **slot grant** (the calendar's popped minimum — queue-depth
+//! 2. the **slot grant** (the earliest completion in the slot table, found
+//!    by a scan that takes the lowest slot on a tie — queue-depth
 //!    back-pressure), and
 //! 3. its **data dependencies** on the requests still in flight: a read
 //!    waits for every overlapping write (read-after-write), and a write
 //!    waits for every overlapping write *and* read (write-after-write,
 //!    write-after-read). Overlapping reads run concurrently.
 //!
-//! Only the slots' current occupants need checking. Slot grants pop in
+//! Only the slots' current occupants need checking. Slot grants come in
 //! non-decreasing order and no request completes before it issues, so a
 //! request that has left its slot completed at or before the grant being
-//! handed out now, which term 2 already covers.
+//! handed out now, which term 2 already covers. The same argument makes
+//! the tie rule free: whichever of several slots completing at the grant
+//! is reused, the set of completion times evolves the same way, and a
+//! tied occupant left in its slot completed at that grant, so it can
+//! never raise a later issue time. Both scans cost `O(queue depth)` per
+//! request.
 //!
 //! Independent requests therefore pipeline across channels and chips
 //! while same-LSN and RMW request chains still serialize correctly. At
-//! `queue_depth = 1` the calendar degenerates to the classic closed loop:
+//! `queue_depth = 1` the table degenerates to the classic closed loop:
 //! the one occupant completes exactly at the slot grant, so QD=1 replays
 //! are bit-for-bit identical to a strictly serial host. The
 //! `replay_matches_legacy_reference` test locks every depth against a
@@ -69,7 +75,7 @@
 //! offered load.
 
 use esp_nand::DeviceStats;
-use esp_sim::{CalendarQueue, HdrHistogram, SimDuration, SimTime};
+use esp_sim::{HdrHistogram, SimDuration, SimTime};
 use esp_ssd::Ssd;
 use esp_workload::{IoOp, Trace};
 
@@ -394,6 +400,18 @@ impl InFlight {
     }
 }
 
+/// The slot whose occupant completes first, and that completion: the
+/// lowest index among ties. Like the dependency scan, it selects without
+/// a branch, since which slot frees first is hard to predict.
+fn earliest_slot(in_flight: &[InFlight]) -> (usize, SimTime) {
+    in_flight
+        .iter()
+        .enumerate()
+        .fold((0, in_flight[0].done), |min, (k, f)| {
+            std::hint::select_unpredictable(f.done < min.1, (k, f.done), min)
+        })
+}
+
 /// The FTL and device counters at the start of a run, against which its
 /// report's deltas are taken.
 struct RunStart {
@@ -477,19 +495,17 @@ pub(crate) fn replay<F: Ftl + ?Sized>(
     let start = RunStart::take(ftl);
     let base = start.base;
 
-    // The event calendar: one completion event per queue slot (`base` =
-    // free from the start), carrying the slot's index. Popping the
-    // earliest completion grants that slot to the next request; pushing
-    // schedules the request's own completion, and `in_flight` holds each
-    // slot's latest occupant. `clock` is the max completion granted so
-    // far — kept separately because the calendar only answers min
-    // queries. The calendar reuses its bucket storage, so the
-    // steady-state loop allocates nothing.
-    let mut slots: CalendarQueue<usize> = CalendarQueue::new();
-    for slot in 0..queue_depth {
-        slots.push(base, slot);
-    }
-    let mut in_flight = vec![InFlight::default(); queue_depth];
+    // One entry per queue slot holds the slot's latest occupant and its
+    // completion (`base` = free from the start). The slot that completes
+    // first is granted to the next request, which then occupies it.
+    // `clock` is the max completion granted so far.
+    let mut in_flight = vec![
+        InFlight {
+            done: base,
+            ..InFlight::default()
+        };
+        queue_depth
+    ];
     let mut clock = base;
     let mut read_latency = HdrHistogram::new();
     let mut write_latency = HdrHistogram::new();
@@ -515,10 +531,11 @@ pub(crate) fn replay<F: Ftl + ?Sized>(
 
     let requests: u64 = lanes.iter().map(|l| l.trace.len() as u64).sum();
     for _ in 0..requests {
-        // Admit on the earliest in-flight completion. If no head request
-        // is eligible when the slot frees, the grant waits for the
-        // earliest gate.
-        let (slot_free, slot) = slots.pop().expect("at least one slot");
+        // Admit on the earliest in-flight completion, the lowest slot on a
+        // tie (which tied slot is reused changes no grant: module docs).
+        // If no head request is eligible when the slot frees, the grant
+        // waits for the earliest gate.
+        let (slot, slot_free) = earliest_slot(&in_flight);
         let earliest = states
             .iter()
             .filter_map(|s| s.gate)
@@ -598,7 +615,6 @@ pub(crate) fn replay<F: Ftl + ?Sized>(
             is_write,
             done,
         };
-        slots.push(done, slot);
         clock = clock.max(done);
     }
 
@@ -917,24 +933,48 @@ mod tests {
         // table-driven reference exactly — same completion times, same
         // latency distribution, same device state — at every queue depth,
         // on a workload that exercises idle windows, rewrites and reads,
-        // for every FTL in the tree. At QD 1 that is the serial host.
+        // for every FTL in the tree. At QD 1 that is the serial host. The
+        // second trace is closed-loop (every arrival 0) and mostly async
+        // writes, which complete at issue, so most slots tie for the grant.
         let cfg = FtlConfig::tiny();
+        let closed_async = |footprint| {
+            esp_workload::generate(&SyntheticConfig {
+                footprint_sectors: footprint,
+                requests: 600,
+                r_small: 0.8,
+                r_synch: 0.1,
+                read_fraction: 0.1,
+                ..SyntheticConfig::default()
+            })
+        };
         for qd in [1, 2, 8, 32] {
             for ((name, mut a), (_, mut b)) in all_ftls(&cfg).into_iter().zip(all_ftls(&cfg)) {
-                let trace = mixed_trace(a.logical_sectors() / 2, SyntheticConfig::default().seed);
-                let new = run_trace_qd(a.as_mut(), &trace, qd);
-                let old = legacy_run_trace_qd(b.as_mut(), &trace, qd);
-                assert_eq!(
-                    crate::report::run_json("qd", &new).to_pretty(),
-                    crate::report::run_json("qd", &old).to_pretty(),
-                    "{name} qd={qd}: replay must be bit-identical to the reference"
-                );
-                assert_eq!(a.ssd().makespan(), b.ssd().makespan(), "{name} qd={qd}");
-                assert_eq!(
-                    a.ssd().commands_issued(),
-                    b.ssd().commands_issued(),
-                    "{name} qd={qd}"
-                );
+                let footprint = a.logical_sectors() / 2;
+                for (input, trace) in [
+                    (
+                        "mixed",
+                        mixed_trace(footprint, SyntheticConfig::default().seed),
+                    ),
+                    ("closed_async", closed_async(footprint)),
+                ] {
+                    let new = run_trace_qd(a.as_mut(), &trace, qd);
+                    let old = legacy_run_trace_qd(b.as_mut(), &trace, qd);
+                    assert_eq!(
+                        crate::report::run_json("qd", &new).to_pretty(),
+                        crate::report::run_json("qd", &old).to_pretty(),
+                        "{name} {input} qd={qd}: replay must be bit-identical to the reference"
+                    );
+                    assert_eq!(
+                        a.ssd().makespan(),
+                        b.ssd().makespan(),
+                        "{name} {input} qd={qd}"
+                    );
+                    assert_eq!(
+                        a.ssd().commands_issued(),
+                        b.ssd().commands_issued(),
+                        "{name} {input} qd={qd}"
+                    );
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
-//! Calendar-queue event scheduling: the discrete-event core of the
-//! replay engine.
+//! Calendar-queue event scheduling: an amortized-`O(1)` discrete-event
+//! list.
 //!
 //! A [`CalendarQueue`] is a priority queue of `(SimTime, payload)` events
 //! optimized for the access pattern of a discrete-event simulator: events

@@ -8,7 +8,7 @@
 //! * [`Resource`] — first-come-first-served occupancy timelines used to model
 //!   flash channels and chips.
 //! * [`CalendarQueue`] — amortized-`O(1)` discrete-event list (Brown's
-//!   calendar queue) driving the replay engine's completion scheduling.
+//!   calendar queue).
 //! * [`Rng`] / [`Zipf`] — self-contained deterministic random number
 //!   generation and skewed (hot/cold) sampling for workload synthesis.
 //! * [`HdrHistogram`] — the one latency histogram: HDR-style log-bucketed

@@ -91,7 +91,7 @@ TENANT / QOS FLAGS (run / replay; single device only — see DESIGN.md §13):
 
 DEVICE / FTL FLAGS:
     --ftl <name>         sub | cgm | fgm | sectorlog   [default sub]
-    --qd <n>             host queue depth              [default 8]
+    --qd <n>             host queue depth, 1..65536    [default 8]
     --fill <0..1>        preconditioning fill          [default 0.625]
     --geometry <CxWxBxP> channels x ways x blocks/chip x pages/block
                          [default 8x4x16x64]
@@ -474,11 +474,16 @@ fn msr_rsynch(flags: &Flags) -> Result<f64, Box<dyn Error>> {
     Ok(r_synch)
 }
 
-/// Parses `--qd` (at least 1) and `--fill` (a fraction in [0, 1]).
+/// Deepest host queue `--qd` accepts: the largest NVMe I/O queue.
+const MAX_QD: usize = 65_536;
+
+/// Parses `--qd` (1 to [`MAX_QD`]) and `--fill` (a fraction in [0, 1]).
 fn qd_and_fill(flags: &Flags) -> Result<(usize, f64), Box<dyn Error>> {
     let qd: usize = flags.parse_or("qd", 8)?;
-    if qd == 0 {
-        return Err("--qd must be at least 1".into());
+    // Replay allocates one in-flight entry per slot up front, so an
+    // unbounded depth could ask for exabytes.
+    if !(1..=MAX_QD).contains(&qd) {
+        return Err(format!("--qd must be in [1, {MAX_QD}], got {qd}").into());
     }
     let fill: f64 = flags.parse_or("fill", 0.625)?;
     if !(0.0..=1.0).contains(&fill) {

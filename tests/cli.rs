@@ -265,10 +265,12 @@ fn bad_inputs_fail_with_messages() {
         assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
     };
     for cmd in ["run", "compare"] {
-        rejects(
-            &[cmd, "--qd", "0", "--requests", "10"],
-            "--qd must be at least 1",
-        );
+        for qd in ["0", "65537", "1152921504606846976"] {
+            rejects(
+                &[cmd, "--qd", qd, "--requests", "10"],
+                "--qd must be in [1, 65536]",
+            );
+        }
     }
     for fill in ["1.5", "-0.5", "nan"] {
         rejects(
